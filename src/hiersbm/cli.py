@@ -1,17 +1,19 @@
 """Command-line interface: dataset generation, fitting, evaluation, rendering.
 
 Subcommands: ``gen-sbt``, ``fit``, ``eval``, ``render``, ``relations``.
-Exit codes: 0 on success, 1 on usage or configuration errors, 2 on data
-errors (unparseable inputs, universe mismatches).  Every command is
-reproducible byte-for-byte under a fixed seed; there is no wall-clock
-seeding anywhere.
+Exit codes: 0 on success, 1 on usage, configuration or output-path errors,
+2 on data errors (unparseable or empty inputs, universe mismatches).  Every
+command is reproducible byte-for-byte under a fixed seed; there is no
+wall-clock seeding anywhere.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path as FsPath
 
@@ -86,6 +88,10 @@ def _config_get(doc: dict, section: str, key: str, default=None, required: bool 
     return default
 
 
+# model config key -> Hyperparameters field, for the required numbers
+_MODEL_FIELDS = {"gamma": "gamma", "mu": "mu", "sigma": "sigma", "lambda": "lam", "eta": "eta", "depth": "depth"}
+
+
 def _load_run_config(args) -> tuple[Hyperparameters, FsPath, FsPath, dict]:
     try:
         raw = args.config.read_text(encoding="utf-8")
@@ -95,69 +101,38 @@ def _load_run_config(args) -> tuple[Hyperparameters, FsPath, FsPath, dict]:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
-    model = {
-        "gamma": _config_get(doc, "model", "gamma", required=True),
-        "mu": _config_get(doc, "model", "mu", required=True),
-        "sigma": _config_get(doc, "model", "sigma", required=True),
-        "lam": _config_get(doc, "model", "lambda", required=True),
-        "eta": _config_get(doc, "model", "eta", required=True),
-        "depth": _config_get(doc, "model", "depth", required=True),
-        "level_prior_mode": _config_get(doc, "model", "level_prior_mode", default="stick"),
-        "alpha": _config_get(doc, "model", "alpha", default=None),
-    }
+    model = {field: _config_get(doc, "model", key, required=True) for key, field in _MODEL_FIELDS.items()}
+    level_prior_mode = _config_get(doc, "model", "level_prior_mode", default="stick")
+    alpha = _config_get(doc, "model", "alpha", default=None)
     schedule = {
-        "iterations": _config_get(doc, "schedule", "iterations", required=True),
-        "burn_in": _config_get(doc, "schedule", "burn_in", required=True),
-        "lag": _config_get(doc, "schedule", "lag", required=True),
-        "final_samples": _config_get(doc, "schedule", "final_samples", required=True),
-        "chains": _config_get(doc, "schedule", "chains", default=1),
-        "seed": _config_get(doc, "schedule", "seed", required=True),
+        key: _config_get(doc, "schedule", key, default=1, required=key != "chains")
+        for key in ("iterations", "burn_in", "lag", "final_samples", "chains", "seed")
     }
-    if args.seed is not None:
-        schedule["seed"] = args.seed
-    if args.chains is not None:
-        schedule["chains"] = args.chains
-    if args.iterations is not None:
-        schedule["iterations"] = args.iterations
+    for key in ("seed", "chains", "iterations"):
+        if getattr(args, key) is not None:
+            schedule[key] = getattr(args, key)
 
     input_path = args.input or _config_get(doc, "io", "input", required=True)
     output_dir = args.output_dir or _config_get(doc, "io", "output_dir", required=True)
 
-    alpha = model["alpha"]
-    hyper = Hyperparameters(
-        gamma=float(model["gamma"]),
-        mu=float(model["mu"]),
-        sigma=float(model["sigma"]),
-        lam=float(model["lam"]),
-        eta=float(model["eta"]),
-        depth=int(model["depth"]),
-        level_prior_mode=str(model["level_prior_mode"]),
-        alpha=tuple(float(a) for a in alpha) if alpha is not None else None,
-        schedule=Schedule(
-            iterations=int(schedule["iterations"]),
-            burn_in=int(schedule["burn_in"]),
-            lag=int(schedule["lag"]),
-            final_samples=int(schedule["final_samples"]),
-            chains=int(schedule["chains"]),
-            seed=int(schedule["seed"]),
-        ),
-    )
     try:
+        hyper = Hyperparameters(
+            **{field: float(value) for field, value in model.items() if field != "depth"},
+            depth=int(model["depth"]),
+            level_prior_mode=str(level_prior_mode),
+            alpha=tuple(float(a) for a in alpha) if alpha is not None else None,
+            schedule=Schedule(**{key: int(value) for key, value in schedule.items()}),
+        )
         hyper.validate()
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     resolved = {
         "model": {
-            "gamma": hyper.gamma, "mu": hyper.mu, "sigma": hyper.sigma,
-            "lambda": hyper.lam, "eta": hyper.eta, "depth": hyper.depth,
+            **{key: getattr(hyper, field) for key, field in _MODEL_FIELDS.items()},
             "level_prior_mode": hyper.level_prior_mode,
             "alpha": list(hyper.alpha) if hyper.alpha is not None else None,
         },
-        "schedule": {
-            "iterations": hyper.schedule.iterations, "burn_in": hyper.schedule.burn_in,
-            "lag": hyper.schedule.lag, "final_samples": hyper.schedule.final_samples,
-            "chains": hyper.schedule.chains, "seed": hyper.schedule.seed,
-        },
+        "schedule": dataclasses.asdict(hyper.schedule),
         "io": {"input": str(input_path), "output_dir": str(output_dir)},
     }
     return hyper, FsPath(input_path), FsPath(output_dir), resolved
@@ -200,6 +175,32 @@ def cmd_gen_sbt(args) -> int:
     return 0
 
 
+def _fit_chains(kg, hyper: Hyperparameters, output_dir: FsPath) -> list[str]:
+    """Run every chain in turn, write its artifacts and return their file names."""
+    output_dir.mkdir(parents=True, exist_ok=True)
+    sched = hyper.schedule
+    outputs = []
+    for chain in range(sched.chains):
+        chain_hyper = dataclasses.replace(
+            hyper, schedule=dataclasses.replace(sched, chains=1, seed=sched.seed + chain)
+        )
+        samples, trace = sampler.run(kg, chain_hyper)
+        trace_path = output_dir / f"trace_chain{chain}.csv"
+        sampler.write_trace_csv(trace, trace_path)
+        outputs.append(trace_path.name)
+        for k, sample in enumerate(samples):
+            written = sampler.write_sample_json(sample, output_dir / f"sample_chain{chain}_{k:02d}.json")
+            outputs.extend(p.name for p in written)
+        point, consensus = sampler.aggregate(samples)
+        written = sampler.write_sample_json(point, output_dir / f"point_estimate_chain{chain}.json")
+        outputs.extend(p.name for p in written)
+        for l in range(consensus.shape[0]):
+            cons_path = output_dir / f"consensus_chain{chain}_level{l + 1}.npy"
+            np.save(cons_path, consensus[l])
+            outputs.append(cons_path.name)
+    return outputs
+
+
 def cmd_fit(args) -> int:
     hyper, input_path, output_dir, resolved = _load_run_config(args)
     try:
@@ -210,39 +211,15 @@ def cmd_fit(args) -> int:
     except OSError as exc:
         print(f"error: cannot read {input_path}: {exc}", file=sys.stderr)
         return DATA_ERROR
-    output_dir.mkdir(parents=True, exist_ok=True)
+    if kg.num_entities == 0:
+        print(f"error: {input_path} holds no triples", file=sys.stderr)
+        return DATA_ERROR
     sched = hyper.schedule
-    outputs = []
-    for chain in range(sched.chains):
-        chain_sched = Schedule(
-            iterations=sched.iterations,
-            burn_in=sched.burn_in,
-            lag=sched.lag,
-            final_samples=sched.final_samples,
-            chains=1,
-            seed=sched.seed + chain,
-        )
-        chain_hyper = Hyperparameters(
-            gamma=hyper.gamma, mu=hyper.mu, sigma=hyper.sigma, lam=hyper.lam, eta=hyper.eta,
-            depth=hyper.depth, level_prior_mode=hyper.level_prior_mode, alpha=hyper.alpha,
-            schedule=chain_sched,
-        )
-        samples, trace = sampler.run(kg, chain_hyper)
-        trace_path = output_dir / f"trace_chain{chain}.csv"
-        sampler.write_trace_csv(trace, trace_path)
-        outputs.append(trace_path.name)
-        for k, sample in enumerate(samples):
-            sample_path = output_dir / f"sample_chain{chain}_{k:02d}.json"
-            sampler.write_sample_json(sample, sample_path)
-            outputs.append(sample_path.name)
-        point, consensus = sampler.aggregate(samples)
-        point_path = output_dir / f"point_estimate_chain{chain}.json"
-        sampler.write_sample_json(point, point_path)
-        outputs.append(point_path.name)
-        for l in range(consensus.shape[0]):
-            cons_path = output_dir / f"consensus_chain{chain}_level{l + 1}.npy"
-            np.save(cons_path, consensus[l])
-            outputs.append(cons_path.name)
+    try:
+        outputs = _fit_chains(kg, hyper, output_dir)
+    except OSError as exc:
+        print(f"error: cannot write to {output_dir}: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     manifest = {
         "config": resolved,
         "config_sha256": hashlib.sha256(
@@ -266,21 +243,18 @@ def cmd_eval(args) -> int:
     try:
         sample = sampler.load_sample_json(args.sample)
         truth = synth.load_ground_truth(args.truth)
-    except (TripleParseError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_ERROR
-    try:
         result = metrics.evaluate_sample(sample, truth)
-    except ValueError as exc:
+    except (KeyError, ValueError, OSError) as exc:  # parse errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(result.to_json_dict(), args.out_dir / "metrics.json")
     table = result.to_text_table()
-    (args.out_dir / "metrics.txt").write_text(table + "\n", encoding="utf-8")
+    try:
+        args.out_dir.mkdir(parents=True, exist_ok=True)
+        _write_json(result.to_json_dict(), args.out_dir / "metrics.json")
+        (args.out_dir / "metrics.txt").write_text(table + "\n", encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write to {args.out_dir}: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     print(table)
     return 0
 
@@ -316,6 +290,10 @@ def cmd_render(args) -> int:
 
 
 def cmd_relations(args) -> int:
+    for name, value in (("--lam", args.lam), ("--eta", args.eta)):
+        if not (math.isfinite(value) and value > 0):
+            print(f"error: {name} must be a finite number > 0, got {value}", file=sys.stderr)
+            return USAGE_ERROR
     try:
         sample = sampler.load_sample_json(args.sample)
         kg = load_triples(args.triples)
@@ -324,10 +302,14 @@ def cmd_relations(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
     plab = kg.predicate_labels
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("from_community,to_community,predicate,posterior_mean\n")
-        for (a, b, r), value in sorted(means.items()):
-            fh.write(f"t{a},t{b},{plab[r]},{value!r}\n")
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write("from_community,to_community,predicate,posterior_mean\n")
+            for (a, b, r), value in sorted(means.items()):
+                fh.write(f"t{a},t{b},{plab[r]},{value!r}\n")
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     print(f"wrote {len(means)} relation rows to {args.out}")
     return 0
 

@@ -1,4 +1,4 @@
-"""Mutable community tree with pass counts, plus path coarsening helpers.
+"""Mutable community tree with pass counts, plus the pair routing rule.
 
 The tree realizes the nested preferential-attachment process: every entity
 owns a root-to-leaf path of fixed depth, communities track how many current
@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = [
     "ROOT_ID",
     "Community",
@@ -24,6 +26,9 @@ __all__ = [
     "SiblingKey",
     "divergence_level",
     "coarsen",
+    "divergence_levels",
+    "route_levels",
+    "route_pairs",
 ]
 
 ROOT_ID = 0
@@ -251,3 +256,36 @@ def coarsen(pi: Path, zi: int, pj: Path, zj: int, r: int) -> SiblingKey:
     if d > depth:
         d = min(zi, zj)
     return (pi[d - 1], pj[d - 1], r)
+
+
+def divergence_levels(P: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``divergence_level`` along the last axis of two broadcastable path arrays."""
+    neq = np.asarray(P) != np.asarray(q)
+    return np.where(neq.any(axis=-1), neq.argmax(axis=-1) + 1, neq.shape[-1] + 1)
+
+
+def route_levels(zs, zr, div, depth: int):
+    """Vectorised ``coarsen``: the levels at which a pair's two paths are read.
+
+    ``zs``, ``zr`` (indicated levels) and ``div`` (divergence levels) broadcast.
+    """
+    direct = (zs == zr) & (div > zs - 1)
+    fallback = np.where(div <= depth, div, np.minimum(zs, zr))
+    return np.where(direct, zs, fallback), np.where(direct, zr, fallback)
+
+
+def route_pairs(P: np.ndarray, Zs: np.ndarray, Zr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Route all ordered pairs of the E paths in ``P`` at E x E levels ``Zs``, ``Zr``.
+
+    Returns the distinct (a, b) community pairs, K x 2 in order of first
+    appearance in row-major (i, j) order, and the E x E index into them.
+    """
+    P = np.asarray(P, dtype=np.int64)
+    ls, lr = route_levels(Zs, Zr, divergence_levels(P[:, None, :], P[None, :, :]), P.shape[1])
+    rows = np.arange(len(P))
+    a = P[rows[:, None], ls - 1].ravel()
+    b = P[rows[None, :], lr - 1].ravel()
+    _, first, index = np.unique(a * (int(b.max(initial=0)) + 1) + b, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    firsts = first[order]
+    return np.stack([a[firsts], b[firsts]], axis=1), np.argsort(order)[index].reshape(len(P), len(P))

@@ -9,8 +9,8 @@ log-sum-exp normalization, since candidate likelihood spreads exceed float
 range on dense graphs.
 
 One chain owns one state exclusively; the full conditionals are sequential,
-so there is no intra-chain parallelism.  Independent chains run concurrently
-with distinct seeds.
+so there is no intra-chain parallelism.  Independent chains differ only in
+their seeds; ``hiersbm fit`` runs them one after another.
 """
 
 from __future__ import annotations
@@ -18,12 +18,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from pathlib import Path as FsPath
 
 import numpy as np
 from scipy.special import betaln, logsumexp
 
 from . import stats, synth
-from .hierarchy import Hierarchy, Path, PathSpec, coarsen
+from .hierarchy import Hierarchy, Path, PathSpec, divergence_levels, route_levels, route_pairs
 from .kgraph import DegreeTable, KnowledgeGraph, degree_table
 from .stats import Hyperparameters
 
@@ -63,9 +64,10 @@ RECEIVER = 1
 class PosteriorSample:
     """Immutable snapshot of one retained Gibbs sample.
 
-    ``indicators`` carries the live level-indicator tensor for in-process
-    readouts; it is not part of the serialized form and samples loaded from
-    disk fall back to per-entity level modes.
+    ``indicators`` is the E x E x 2 level-indicator tensor that readouts route
+    pairs by.  On disk it is a uint8 ``<stem>.indicators.npy`` beside the JSON
+    file; a sample loaded without that file has None, and readouts then fall
+    back to per-entity level modes.
     """
 
     iteration: int
@@ -105,9 +107,13 @@ class SamplerState:
         self.P = np.empty((self.E, self.L), dtype=np.int64)
         for i in range(self.E):
             self.P[i] = synth.sample_ncrp_path(self.h, hyper.gamma, rng)
-        self.D = np.empty((self.E, self.E), dtype=np.int64)
-        for i in range(self.E):
-            self._refresh_divergence_row(i)
+        self.D = divergence_levels(self.P[:, None, :], self.P[None, :, :])
+        # _route_table[d][zs][zr] -> (sender level, receiver level); index 0 unused
+        z = np.arange(self.L + 1)
+        ls, lr = route_levels(z[:, None], z[None, :], np.arange(self.L + 2)[:, None, None], self.L)
+        self._route_table = [
+            [list(zip(*rows)) for rows in zip(*planes)] for planes in zip(ls.tolist(), lr.tolist())
+        ]
 
         # Indicators i.i.d. from the zero-count level prior.
         cum = np.cumsum(self._zero_count_level_prior())
@@ -141,25 +147,14 @@ class SamplerState:
         return [p / total for p in post]
 
     def _refresh_divergence_row(self, i: int) -> None:
-        neq = self.P != self.P[i][None, :]
-        anym = neq.any(axis=1)
-        d = np.where(anym, neq.argmax(axis=1) + 1, self.L + 1)
+        d = divergence_levels(self.P, self.P[i])
         self.D[i, :] = d
         self.D[:, i] = d
-        self.D[i, i] = self.L + 1
 
     def _route(self, i: int, j: int, zi: int, zj: int) -> tuple[int, int]:
-        """Sibling-key community pair for one interaction; mirrors ``coarsen``."""
-        d = self.D[i, j]
-        if zi == zj:
-            if d > zi - 1:
-                return int(self.P[i, zi - 1]), int(self.P[j, zj - 1])
-            lvl = int(d)
-        elif d <= self.L:
-            lvl = int(d)
-        else:
-            lvl = zi if zi < zj else zj
-        return int(self.P[i, lvl - 1]), int(self.P[j, lvl - 1])
+        """Sibling-key community pair for one interaction at levels (zi, zj)."""
+        ls, lr = self._route_table[self.D[i, j]][zi][zj]
+        return int(self.P[i, ls - 1]), int(self.P[j, lr - 1])
 
     # -- incremental counts ----------------------------------------------
 
@@ -195,31 +190,16 @@ class SamplerState:
 
     def _recount_relations_into(self, out: dict) -> None:
         out.clear()
-        paths = [tuple(int(c) for c in row) for row in self.P]
-        for i in range(self.E):
-            for j in range(self.E):
-                zi = int(self.Z[i, j, SENDER])
-                zj = int(self.Z[i, j, RECEIVER])
-                a, b, _ = coarsen(paths[i], zi, paths[j], zj, 0)
-                g_row = self.G[i, j]
-                for r in range(self.R):
-                    entry = out.setdefault((a, b, r), [0, 0])
-                    entry[0 if g_row[r] else 1] += 1
+        pairs, _, ones, totals = _routed_counts(self.P, self.Z, self.G)
+        for (a, b), ones_row, n in zip(pairs.tolist(), ones.tolist(), totals.tolist()):
+            for r, k in enumerate(ones_row):
+                out[(a, b, r)] = [k, n - k]
 
     def _recount_level_hists_into(self, ghist: list, ehist: np.ndarray) -> None:
-        for l in range(self.L + 1):
-            ghist[l] = 0
-        values, counts = np.unique(self.Z, return_counts=True)
-        for v, c in zip(values, counts):
-            ghist[int(v)] = int(c)
-        ehist[:] = 0
+        ghist[:] = np.bincount(self.Z.ravel(), minlength=self.L + 1).tolist()
+        hit = self.Z[:, :, :, None] == np.arange(self.L + 1)  # E x E x 2 x (L + 1)
         idx = np.arange(self.E)
-        for l in range(1, self.L + 1):
-            mask = self.Z == l
-            row = mask.sum(axis=(1, 2))
-            col = mask.sum(axis=(0, 2))
-            diag = mask[idx, idx, :].sum(axis=1)
-            ehist[:, l] = row + col - diag
+        ehist[:] = hit.sum(axis=(1, 2)) + hit.sum(axis=(0, 2)) - hit[idx, idx].sum(axis=1)
 
     # -- conditional distributions ----------------------------------------
 
@@ -277,19 +257,17 @@ class SamplerState:
             cpath = np.array(
                 [-(lvl + 2) if c is None else c for lvl, c in enumerate(spec)], dtype=np.int64
             )
-            neq = P != cpath[None, :]
-            anym = neq.any(axis=1)
-            div = np.where(anym, neq.argmax(axis=1) + 1, L + 1)
+            div = divergence_levels(P, cpath)
             div[i] = L + 1  # the self pair compares the candidate with itself
 
             # pairs (i, j): sender path is the candidate, receiver path is P[j]
-            ls, lr = _effective_levels(z_out_s, z_out_r, div, L)
+            ls, lr = route_levels(z_out_s, z_out_r, div, L)
             a_out = cpath[ls - 1]
             b_out = P[rows, lr - 1]
             b_out[i] = cpath[lr[i] - 1]
 
             # pairs (j, i): sender path is P[j], receiver path is the candidate
-            ls2, lr2 = _effective_levels(z_in_s, z_in_r, div, L)
+            ls2, lr2 = route_levels(z_in_s, z_in_r, div, L)
             a_in = P[rows, ls2 - 1]
             b_in = cpath[lr2 - 1]
 
@@ -314,21 +292,20 @@ class SamplerState:
         return specs, logw
 
 
-def _effective_levels(zs: np.ndarray, zr: np.ndarray, div: np.ndarray, depth: int):
-    """Vectorized coarsening levels for sender/receiver indicator arrays."""
-    direct = (zs == zr) & (div > zs - 1)
-    fallback = np.where(div <= depth, div, np.minimum(zs, zr))
-    return np.where(direct, zs, fallback), np.where(direct, zr, fallback)
+def _routed_counts(P: np.ndarray, Z: np.ndarray, G: np.ndarray):
+    """Route every pair of ``P`` at indicators ``Z`` and count ``G`` per sibling pair.
 
-
-def _categorical(rng: np.random.Generator, probs) -> int:
-    u = rng.random()
-    acc = 0.0
-    for k, p in enumerate(probs):
-        acc += p
-        if u < acc:
-            return k
-    return len(probs) - 1
+    Returns ``route_pairs``' K pairs and E x E index, the K x R one-counts and
+    the K totals; keys (a, b, r) thus come in the order a loop over (i, j, r)
+    first meets them.
+    """
+    pairs, index = route_pairs(P, Z[:, :, SENDER], Z[:, :, RECEIVER])
+    K, R = len(pairs), G.shape[2]
+    flat = index.ravel()
+    totals = np.bincount(flat, minlength=K)
+    keys = (flat[:, None] * R + np.arange(R)).ravel()
+    ones = np.bincount(keys, weights=G.reshape(-1), minlength=K * R).astype(np.int64).reshape(K, R)
+    return pairs, index, ones, totals
 
 
 def _categorical_from_logs(rng: np.random.Generator, logw) -> int:
@@ -599,40 +576,36 @@ def audit_counts(state: SamplerState) -> AuditReport:
 # -- sample readouts ---------------------------------------------------------
 
 
-def _sample_kg_index(sample: PosteriorSample, kg: KnowledgeGraph) -> list[int]:
+def _sample_means(sample: PosteriorSample, kg: KnowledgeGraph, lam: float, eta: float):
+    """Routed pairs, their E x E index and the K x R posterior means of a sample."""
     missing = [lab for lab in sample.entity_labels if lab not in kg.entities]
     if missing:
         raise ValueError(f"sample entities missing from the graph: {missing}")
-    return [kg.entities[lab] for lab in sample.entity_labels]
-
-
-def _pair_levels(sample: PosteriorSample, i: int, j: int) -> tuple[int, int]:
+    gid = [kg.entities[lab] for lab in sample.entity_labels]
+    n, R = len(gid), kg.num_predicates
+    if n == 0:
+        return np.empty((0, 2), dtype=np.int64), np.empty((0, 0), dtype=np.int64), np.empty((0, R))
     if sample.indicators is not None:
-        return int(sample.indicators[i, j, 0]), int(sample.indicators[i, j, 1])
-    return sample.levels[i], sample.levels[j]
+        Z = sample.indicators
+    else:
+        levels = np.asarray(sample.levels, dtype=np.int64)
+        Z = np.stack(np.broadcast_arrays(levels[:, None], levels[None, :]), axis=2)
+    pairs, index, ones, totals = _routed_counts(sample.paths, Z, kg.dense_tensor()[np.ix_(gid, gid)])
+    return pairs, index, (ones + lam) / (totals[:, None] + lam + eta)
 
 
 def relations_from_sample(sample: PosteriorSample, kg: KnowledgeGraph, lam: float, eta: float) -> dict:
     """Posterior-mean relation degrees reconstructed from a stored sample.
 
     Every ordered pair is routed through the sample's paths at its recorded
-    level indicators (falling back to per-entity level modes for samples
-    loaded from disk); counts come from the graph.
+    level indicators (falling back to per-entity level modes when the sample
+    has none); counts come from the graph.
     """
-    n = len(sample.entity_labels)
-    gid = _sample_kg_index(sample, kg)
-    counts: dict[tuple[int, int, int], list[int]] = {}
-    for i in range(n):
-        pi = sample.paths[i]
-        for j in range(n):
-            zi, zj = _pair_levels(sample, i, j)
-            a, b, _ = coarsen(pi, zi, sample.paths[j], zj, 0)
-            for r in range(kg.num_predicates):
-                entry = counts.setdefault((a, b, r), [0, 0])
-                entry[0 if (gid[i], gid[j], r) in kg.triples else 1] += 1
+    pairs, _, means = _sample_means(sample, kg, lam, eta)
     return {
-        key: (ones + lam) / (ones + zeros + lam + eta)
-        for key, (ones, zeros) in counts.items()
+        (a, b, r): value
+        for (a, b), row in zip(pairs.tolist(), means.tolist())
+        for r, value in enumerate(row)
     }
 
 
@@ -640,17 +613,8 @@ def predicted_edge_probabilities(
     sample: PosteriorSample, kg: KnowledgeGraph, lam: float, eta: float
 ) -> np.ndarray:
     """Posterior-mean edge probability for every (i, j, r), routed as above."""
-    means = relations_from_sample(sample, kg, lam, eta)
-    n = len(sample.entity_labels)
-    out = np.empty((n, n, kg.num_predicates))
-    for i in range(n):
-        pi = sample.paths[i]
-        for j in range(n):
-            zi, zj = _pair_levels(sample, i, j)
-            a, b, _ = coarsen(pi, zi, sample.paths[j], zj, 0)
-            for r in range(kg.num_predicates):
-                out[i, j, r] = means[(a, b, r)]
-    return out
+    _, index, means = _sample_means(sample, kg, lam, eta)
+    return means[index]
 
 
 # -- persistence -------------------------------------------------------------
@@ -675,16 +639,32 @@ def sample_to_dict(sample: PosteriorSample) -> dict:
     }
 
 
-def write_sample_json(sample: PosteriorSample, path) -> None:
+def _indicators_path(path) -> FsPath:
+    return FsPath(path).with_suffix(".indicators.npy")
+
+
+def write_sample_json(sample: PosteriorSample, path) -> list[FsPath]:
+    """Write the sample as JSON, and its indicators (if any) beside it; return the files."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(sample_to_dict(sample), fh, indent=2, sort_keys=True)
         fh.write("\n")
+    written = [FsPath(path)]
+    if sample.indicators is not None:
+        written.append(_indicators_path(path))
+        np.save(written[-1], sample.indicators.astype(np.uint8))
+    return written
 
 
 def load_sample_json(path) -> PosteriorSample:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     entities = doc["entities"]
+    n = len(entities)
+    indicators = None
+    if _indicators_path(path).exists():
+        indicators = np.load(_indicators_path(path)).astype(np.int64)
+        if indicators.shape != (n, n, 2):
+            raise ValueError(f"indicators file has shape {indicators.shape}, expected {(n, n, 2)}")
     return PosteriorSample(
         iteration=int(doc["iteration"]),
         log_likelihood=float(doc["log_likelihood"]),
@@ -692,4 +672,5 @@ def load_sample_json(path) -> PosteriorSample:
         entity_labels=[e["label"] for e in entities],
         paths=[tuple(e["path"]) for e in entities],
         levels=[int(e["level"]) for e in entities],
+        indicators=indicators,
     )

@@ -12,7 +12,7 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .hierarchy import Hierarchy, Path, coarsen
+from .hierarchy import Hierarchy, Path, route_pairs
 from .kgraph import KnowledgeGraph, TripleParseError
 from .stats import Hyperparameters
 
@@ -184,15 +184,11 @@ def forward_generate(
         indicators[:, j, 1] = np.searchsorted(cum_j, rng.random(num_entities)) + 1
     np.clip(indicators, 1, depth, out=indicators)
 
-    triples: set[tuple[int, int, int]] = set()
-    for i in range(num_entities):
-        for j in range(num_entities):
-            zi = int(indicators[i, j, 0])
-            zj = int(indicators[i, j, 1])
-            for r in range(num_predicates):
-                a, b, _ = coarsen(paths[i], zi, paths[j], zj, r)
-                if rng.random() < relations[(a, b, r)]:
-                    triples.add((i, j, r))
+    pairs, index = route_pairs(paths, indicators[:, :, 0], indicators[:, :, 1])
+    theta = np.array([[relations[(a, b, r)] for r in range(num_predicates)] for a, b in pairs.tolist()])
+    # one uniform per (i, j, r) in row-major order, the stream of a per-cell loop
+    draws = rng.random((num_entities, num_entities, num_predicates)) < theta[index]
+    triples = set(zip(*(idx.tolist() for idx in np.nonzero(draws))))
 
     kg = KnowledgeGraph(
         entities={f"e{i}": i for i in range(num_entities)},

@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from hiersbm import sampler
 from hiersbm.cli import main
+from hiersbm.kgraph import load_triples
+from hiersbm.stats import Hyperparameters, Schedule
 
 
 def run_cli(*args):
@@ -18,19 +21,28 @@ def sbt_dir(tmp_path):
     return out
 
 
-@pytest.fixture
-def fit_dir(tmp_path, sbt_dir):
+def write_config(tmp_path, input_path, output_dir):
     config = {
         "model": {"gamma": 1.0, "mu": 0.5, "sigma": 1.0, "lambda": 1.0, "eta": 1.0,
                   "depth": 2, "level_prior_mode": "stick"},
         "schedule": {"iterations": 6, "burn_in": 2, "lag": 2, "final_samples": 2,
                      "chains": 1, "seed": 11},
-        "io": {"input": str(sbt_dir / "triples.tsv"), "output_dir": str(tmp_path / "fit")},
+        "io": {"input": str(input_path), "output_dir": str(output_dir)},
     }
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config), encoding="utf-8")
-    assert run_cli("fit", cfg) == 0
+    return cfg
+
+
+@pytest.fixture
+def fit_dir(tmp_path, sbt_dir):
+    assert run_cli("fit", write_config(tmp_path, sbt_dir / "triples.tsv", tmp_path / "fit")) == 0
     return tmp_path / "fit"
+
+
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "error: " in err, err
 
 
 class TestGenSbt:
@@ -143,6 +155,33 @@ class TestFit:
         cfg.write_text(json.dumps(config), encoding="utf-8")
         assert run_cli("fit", cfg) == 2
 
+    def test_non_numeric_config_value(self, tmp_path, sbt_dir, capsys):
+        cfg = write_config(tmp_path, sbt_dir / "triples.tsv", tmp_path / "f")
+        config = json.loads(cfg.read_text())
+        config["model"]["gamma"] = "many"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        assert run_cli("fit", cfg) == 1
+        assert_one_line_error(capsys)
+
+    def test_comment_only_input_data_error(self, tmp_path, capsys):
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("# only a comment\n", encoding="utf-8")
+        assert run_cli("fit", write_config(tmp_path, empty, tmp_path / "f")) == 2
+        assert_one_line_error(capsys)
+
+    def test_output_dir_below_a_file(self, tmp_path, sbt_dir, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("", encoding="utf-8")
+        cfg = write_config(tmp_path, sbt_dir / "triples.tsv", afile / "sub")
+        assert run_cli("fit", cfg) == 1
+        assert_one_line_error(capsys)
+
+    def test_manifest_lists_indicator_files(self, fit_dir):
+        outputs = json.loads((fit_dir / "run_manifest.json").read_text())["outputs"]
+        for stem in ("sample_chain0_00", "sample_chain0_01", "point_estimate_chain0"):
+            assert f"{stem}.indicators.npy" in outputs
+            assert (fit_dir / f"{stem}.indicators.npy").exists()
+
 
 class TestEval:
     def test_self_comparison_scores_one(self, tmp_path, fit_dir):
@@ -170,6 +209,13 @@ class TestEval:
         assert run_cli("eval", sample_path, truth_path, "--out-dir", tmp_path / "m") == 2
         missing = sample["entities"][-1]["label"]
         assert missing in capsys.readouterr().err
+
+    def test_out_dir_below_a_file(self, tmp_path, fit_dir, sbt_dir, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("", encoding="utf-8")
+        assert run_cli("eval", fit_dir / "point_estimate_chain0.json", sbt_dir / "truth.tsv",
+                       "--out-dir", afile / "m") == 1
+        assert_one_line_error(capsys)
 
 
 class TestRender:
@@ -216,6 +262,36 @@ class TestRelations:
         out = tmp_path / "rel.csv"
         assert run_cli("relations", sample_path, triples, "--out", out) == 0
         assert out.read_text() == "from_community,to_community,predicate,posterior_mean\n"
+
+    def test_csv_equals_in_process_means(self, tmp_path, fit_dir, sbt_dir):
+        kg = load_triples(sbt_dir / "triples.tsv")
+        hyper = Hyperparameters(gamma=1.0, mu=0.5, sigma=1.0, lam=1.0, eta=1.0, depth=2,
+                                schedule=Schedule(iterations=6, burn_in=2, lag=2, final_samples=2,
+                                                  chains=1, seed=11))
+        point, _ = sampler.aggregate(sampler.run(kg, hyper)[0])
+        want = sampler.relations_from_sample(point, kg, 0.5, 2.0)
+        out = tmp_path / "relations.csv"
+        assert run_cli("relations", fit_dir / "point_estimate_chain0.json", sbt_dir / "triples.tsv",
+                       "--lam", 0.5, "--eta", 2.0, "--out", out) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        plab = kg.predicate_labels
+        assert {(a, b, r): float(v) for a, b, r, v in rows} == {
+            (f"t{a}", f"t{b}", plab[r]): v for (a, b, r), v in want.items()
+        }
+
+    @pytest.mark.parametrize("flag,value", [("--lam", -0.5), ("--eta", 0.0), ("--lam", "nan")])
+    def test_invalid_prior_rejected(self, tmp_path, fit_dir, sbt_dir, capsys, flag, value):
+        out = tmp_path / "rel.csv"
+        assert run_cli("relations", fit_dir / "point_estimate_chain0.json", sbt_dir / "triples.tsv",
+                       flag, value, "--out", out) == 1
+        assert not out.exists()
+        assert_one_line_error(capsys)
+
+    def test_out_in_missing_dir(self, tmp_path, fit_dir, sbt_dir, capsys):
+        out = tmp_path / "missing" / "dir" / "r.csv"
+        assert run_cli("relations", fit_dir / "point_estimate_chain0.json", sbt_dir / "triples.tsv",
+                       "--out", out) == 1
+        assert_one_line_error(capsys)
 
 
 class TestDeterminism:

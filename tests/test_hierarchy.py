@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hiersbm.hierarchy import ROOT_ID, Hierarchy, coarsen, divergence_level
+from hiersbm.hierarchy import (
+    ROOT_ID,
+    Hierarchy,
+    coarsen,
+    divergence_level,
+    divergence_levels,
+    route_pairs,
+)
 
 
 def build_toy_tree():
@@ -233,3 +240,44 @@ def test_coarsen_symmetric_under_swap(case):
     a, b, r = coarsen(pi, zi, pj, zj, 1)
     b2, a2, r2 = coarsen(pj, zj, pi, zi, 1)
     assert (a, b, r) == (a2, b2, r2)
+
+
+def leaf_paths(h, node=ROOT_ID, prefix=()):
+    kids = h.children_of(node)
+    if not kids:
+        return [prefix] if prefix else []
+    return [p for kid in kids for p in leaf_paths(h, kid, prefix + (kid,))]
+
+
+@st.composite
+def pool_and_indicators(draw):
+    """A pool of paths (repeats allowed) from a random tree, with random indicator pairs."""
+    h, *_ = draw(tree_and_paths())
+    pool = draw(st.lists(st.sampled_from(leaf_paths(h)), min_size=1, max_size=7))
+    n = len(pool)
+    flat = draw(st.lists(st.integers(min_value=1, max_value=h.depth), min_size=2 * n * n, max_size=2 * n * n))
+    return pool, np.array(flat, dtype=np.int64).reshape(n, n, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool_and_indicators())
+def test_route_pairs_matches_coarsen(case):
+    pool, Z = case
+    pairs, index = route_pairs(np.array(pool), Z[:, :, 0], Z[:, :, 1])
+    seen = []
+    for i, pi in enumerate(pool):
+        for j, pj in enumerate(pool):
+            a, b, _ = coarsen(pi, int(Z[i, j, 0]), pj, int(Z[i, j, 1]), 0)
+            assert tuple(pairs[index[i, j]]) == (a, b)
+            if (a, b) not in seen:
+                seen.append((a, b))
+    assert [tuple(p) for p in pairs.tolist()] == seen  # first-appearance order
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool_and_indicators())
+def test_divergence_levels_match_divergence_level(case):
+    pool, _ = case
+    P = np.array(pool)
+    for q in pool:
+        assert divergence_levels(P, np.array(q)).tolist() == [divergence_level(p, q) for p in pool]

@@ -485,6 +485,20 @@ class TestPersistence:
         again = load_sample_json(path)
         assert again == sample
 
+    def test_indicators_file_round_trip(self, tmp_path):
+        kg = random_kg(4, 1, 0.5, 5)
+        state = init_state(kg, hyper_with(depth=3), np.random.default_rng(5))
+        state.trace.append((0, complete_log_likelihood(state)))
+        sample = take_sample(state)
+        path = tmp_path / "sample.json"
+        written = write_sample_json(sample, path)
+        assert written == [path, tmp_path / "sample.indicators.npy"]
+        assert np.load(written[1]).dtype == np.uint8
+        assert np.array_equal(load_sample_json(path).indicators, sample.indicators)
+        np.save(written[1], sample.indicators[:2].astype(np.uint8))
+        with pytest.raises(ValueError, match="shape"):
+            load_sample_json(path)
+
 
 def test_per_iteration_cost_scales_subcubically():
     # wall-time slope on log-log axes across growing graphs stays below 3.5
