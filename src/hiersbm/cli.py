@@ -92,6 +92,16 @@ def _config_get(doc: dict, section: str, key: str, default=None, required: bool 
 _MODEL_FIELDS = {"gamma": "gamma", "mu": "mu", "sigma": "sigma", "lambda": "lam", "eta": "eta", "depth": "depth"}
 
 
+def _config_int(name: str, value) -> int:
+    """An integer config value; a number with a fractional part is an error, not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from exc
+
+
 def _load_run_config(args) -> tuple[Hyperparameters, FsPath, FsPath, dict]:
     try:
         raw = args.config.read_text(encoding="utf-8")
@@ -111,17 +121,19 @@ def _load_run_config(args) -> tuple[Hyperparameters, FsPath, FsPath, dict]:
     for key in ("seed", "chains", "iterations"):
         if getattr(args, key) is not None:
             schedule[key] = getattr(args, key)
+    schedule = {key: _config_int(f"schedule.{key}", value) for key, value in schedule.items()}
+    depth = _config_int("model.depth", model.pop("depth"))
 
     input_path = args.input or _config_get(doc, "io", "input", required=True)
     output_dir = args.output_dir or _config_get(doc, "io", "output_dir", required=True)
 
     try:
         hyper = Hyperparameters(
-            **{field: float(value) for field, value in model.items() if field != "depth"},
-            depth=int(model["depth"]),
+            **{field: float(value) for field, value in model.items()},
+            depth=depth,
             level_prior_mode=str(level_prior_mode),
             alpha=tuple(float(a) for a in alpha) if alpha is not None else None,
-            schedule=Schedule(**{key: int(value) for key, value in schedule.items()}),
+            schedule=Schedule(**schedule),
         )
         hyper.validate()
     except (TypeError, ValueError) as exc:

@@ -6,9 +6,12 @@ paths pass through them, and communities whose count drops to zero are pruned.
 Community ids are never recycled, so logs stay unambiguous across pruning.
 
 A ``Path`` omits the root: entry ``l-1`` is the community at level ``l``
-(levels run 1..depth).  A ``SiblingKey`` is an ordered pair of communities
-sharing a parent, together with a predicate id; it indexes the pairwise
-relation degrees used by all likelihood code.
+(levels run 1..depth).  A ``SiblingKey`` (a, b, r) is an ordered pair of
+communities sharing a parent, together with a predicate id; it names one
+pairwise relation degree.  The sampler counts per sibling pair rather than
+per key: one row ``[n, ones_0, ..., ones_{R-1}]`` for each occupied pair
+(a, b), holding the number of entity pairs routed there and the one-count of
+every predicate among them.
 """
 
 from __future__ import annotations

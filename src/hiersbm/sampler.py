@@ -1,12 +1,15 @@
 """Collapsed Gibbs engine: chain state, resampling moves, schedule, aggregation.
 
-The chain state keeps incremental sufficient statistics: pair counts per
-sibling key and level-indicator histograms.  Every move removes the affected
-contributions, scores candidates against the remainder, then reinstates the
-chosen configuration; ``audit_counts`` compares the incremental statistics
-against a from-scratch recount.  Candidate scoring runs in log space with
-log-sum-exp normalization, since candidate likelihood spreads exceed float
-range on dense graphs.
+The chain state keeps incremental sufficient statistics: one count row per
+occupied sibling pair of communities, ``rel[(a, b)] = [n, ones_0, ...,
+ones_{R-1}]`` (the number of entity pairs routed there, then the one-count of
+each predicate among them), and level-indicator histograms.  Every move
+removes the affected contributions, scores candidates against the remainder
+with the collapsed formulas in ``stats``, then reinstates the chosen
+configuration; ``audit_counts`` compares the incremental statistics against a
+from-scratch recount.  Candidate scoring runs in log space with log-sum-exp
+normalization, since candidate likelihood spreads exceed float range on dense
+graphs.
 
 One chain owns one state exclusively; the full conditionals are sequential,
 so there is no intra-chain parallelism.  Independent chains differ only in
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path as FsPath
 
 import numpy as np
-from scipy.special import betaln, logsumexp
+from scipy.special import logsumexp
 
 from . import stats, synth
 from .hierarchy import Hierarchy, Path, PathSpec, divergence_levels, route_levels, route_pairs
@@ -100,7 +103,7 @@ class SamplerState:
         self.E = kg.num_entities
         self.R = kg.num_predicates
         self.L = hyper.depth
-        self.G = kg.dense_tensor()
+        self._set_graph(kg.dense_tensor())
 
         # Paths from the bare tree prior, entities seated in id order.
         self.h = Hierarchy(self.L)
@@ -120,7 +123,7 @@ class SamplerState:
         self.Z = (np.searchsorted(cum, self.rng.random((self.E, self.E, 2))) + 1).astype(np.int64)
         np.clip(self.Z, 1, self.L, out=self.Z)
 
-        self.rel: dict[tuple[int, int, int], list[int]] = {}
+        self.rel: dict[tuple[int, int], list[int]] = {}
         self._recount_relations_into(self.rel)
         self.ghist = [0] * (self.L + 1)
         self.ehist = np.zeros((self.E, self.L + 1), dtype=np.int64)
@@ -129,6 +132,11 @@ class SamplerState:
         self.iteration = 0
         self.trace: Trace = []
         self.path_resamples = np.zeros(self.E, dtype=np.int64)
+
+    def _set_graph(self, G: np.ndarray) -> None:
+        """Install the E x E x R uint8 graph and its bytes, pair (x, y) at (x*E + y)*R; the caller recounts."""
+        self.G = G
+        self._g = G.tobytes()
 
     # -- routing ---------------------------------------------------------
 
@@ -159,20 +167,20 @@ class SamplerState:
     # -- incremental counts ----------------------------------------------
 
     def _pair_apply(self, x: int, y: int, sign: int) -> None:
-        """Add or remove the (x, y) pair's per-predicate counts at its current route."""
-        zi = int(self.Z[x, y, SENDER])
-        zj = int(self.Z[x, y, RECEIVER])
-        a, b = self._route(x, y, zi, zj)
-        rel = self.rel
-        g_row = self.G[x, y]
-        for r in range(self.R):
-            key = (a, b, r)
-            entry = rel.get(key)
-            if entry is None:
-                entry = rel[key] = [0, 0]
-            entry[0 if g_row[r] else 1] += sign
-            if entry[0] == 0 and entry[1] == 0:
-                del rel[key]
+        """Add or remove the (x, y) pair's counts at its current route."""
+        key = self._route(x, y, int(self.Z[x, y, SENDER]), int(self.Z[x, y, RECEIVER]))
+        row = self.rel.get(key)
+        if row is None:
+            row = self.rel[key] = [0] * (self.R + 1)
+        row[0] += sign
+        g, start = self._g, (x * self.E + y) * self.R
+        end = start + self.R
+        r = g.find(1, start, end)  # only the pair's ones
+        while r >= 0:
+            row[r - start + 1] += sign
+            r = g.find(1, r + 1, end)
+        if not row[0]:
+            del self.rel[key]
 
     def _entity_pairs_apply(self, i: int, sign: int) -> None:
         for j in range(self.E):
@@ -191,15 +199,17 @@ class SamplerState:
     def _recount_relations_into(self, out: dict) -> None:
         out.clear()
         pairs, _, ones, totals = _routed_counts(self.P, self.Z, self.G)
-        for (a, b), ones_row, n in zip(pairs.tolist(), ones.tolist(), totals.tolist()):
-            for r, k in enumerate(ones_row):
-                out[(a, b, r)] = [k, n - k]
+        out.update(zip(map(tuple, pairs.tolist()), np.column_stack([totals, ones]).tolist()))
 
     def _recount_level_hists_into(self, ghist: list, ehist: np.ndarray) -> None:
-        ghist[:] = np.bincount(self.Z.ravel(), minlength=self.L + 1).tolist()
-        hit = self.Z[:, :, :, None] == np.arange(self.L + 1)  # E x E x 2 x (L + 1)
-        idx = np.arange(self.E)
-        ehist[:] = hit.sum(axis=(1, 2)) + hit.sum(axis=(0, 2)) - hit[idx, idx].sum(axis=1)
+        E, L1 = self.E, self.L + 1
+        ghist[:] = np.bincount(self.Z.ravel(), minlength=L1).tolist()
+        # entity e's bins are e*L1 + level; it owns row e and column e of Z, the self pair once
+        idx = np.arange(E)
+        own = idx[:, None] * L1
+        bins = (own[:, :, None] + self.Z, own.T[:, :, None] + self.Z, own + self.Z[idx, idx])
+        row, col, diag = (np.bincount(b.ravel(), minlength=E * L1) for b in bins)
+        ehist[:] = (row + col - diag).reshape(E, L1)
 
     # -- conditional distributions ----------------------------------------
 
@@ -209,22 +219,14 @@ class SamplerState:
         zj = int(self.Z[i, j, RECEIVER])
         prior = self._level_prior()
         lam, eta = self.hyper.lam, self.hyper.eta
-        g_row = self.G[i, j]
-        rel = self.rel
-        log = math.log
+        start = (i * self.E + j) * self.R
+        g = self._g[start : start + self.R]  # one predicate value per byte
+        empty = [0] * (self.R + 1)
         logw = [0.0] * self.L
         for l in range(1, self.L + 1):
-            if direction == SENDER:
-                a, b = self._route(i, j, l, zj)
-            else:
-                a, b = self._route(i, j, zi, l)
-            acc = log(prior[l - 1])
-            for r in range(self.R):
-                entry = rel.get((a, b, r))
-                ones, zeros = entry if entry is not None else (0, 0)
-                num = (ones + lam) if g_row[r] else (zeros + eta)
-                acc += log(num / (ones + zeros + lam + eta))
-            logw[l - 1] = acc
+            key = self._route(i, j, l, zj) if direction == SENDER else self._route(i, j, zi, l)
+            row = self.rel.get(key, empty)
+            logw[l - 1] = math.log(prior[l - 1]) + stats.level_log_likelihood(g, row[1:], row[0], lam, eta)
         return logw
 
     def _score_path_candidates(self, i: int) -> tuple[list[PathSpec], np.ndarray]:
@@ -246,10 +248,10 @@ class SamplerState:
         z_out_r = self.Z[i, :, RECEIVER].astype(np.int64)
         z_in_s = self.Z[:, i, SENDER].astype(np.int64)
         z_in_r = self.Z[:, i, RECEIVER].astype(np.int64)
-        g_out = self.G[i, :, :].astype(np.float64)
-        g_in = self.G[:, i, :].astype(np.float64)
         keep_in = rows != i
+        g = np.concatenate([self.G[i, :, :], self.G[:, i, :][keep_in]]).ravel().astype(np.float64)
         r_offsets = np.arange(R, dtype=np.int64)
+        empty = [0] * (R + 1)
         off = L + 2
         mod = self.h.next_id + off + L + 2
         logw = np.empty(len(specs))
@@ -273,21 +275,14 @@ class SamplerState:
 
             a = np.concatenate([a_out, a_in[keep_in]])
             b = np.concatenate([b_out, b_in[keep_in]])
-            g = np.concatenate([g_out, g_in[keep_in]], axis=0)
-            pair_code = (a + off) * mod + (b + off)
-            codes = (pair_code[:, None] * R + r_offsets[None, :]).ravel()
-            uq, inv = np.unique(codes, return_inverse=True)
-            c1 = np.bincount(inv, weights=g.ravel())
-            ct = np.bincount(inv).astype(np.float64)
-            c0 = ct - c1
-            b1 = np.empty(len(uq))
-            b0 = np.empty(len(uq))
-            for k, code in enumerate(uq.tolist()):
-                r = code % R
-                pc = code // R
-                entry = self.rel.get((pc // mod - off, pc % mod - off, r))
-                b1[k], b0[k] = entry if entry is not None else (0, 0)
-            delta = float(np.sum(betaln(b1 + c1 + lam, b0 + c0 + eta) - betaln(b1 + lam, b0 + eta)))
+            uq, inv = np.unique((a + off) * mod + (b + off), return_inverse=True)
+            K = len(uq)
+            c1 = np.bincount((inv[:, None] * R + r_offsets).ravel(), weights=g, minlength=K * R).reshape(K, R)
+            c0 = np.bincount(inv, minlength=K)[:, None] - c1
+            keys = zip((uq // mod - off).tolist(), (uq % mod - off).tolist())
+            base = np.array([self.rel.get(key, empty) for key in keys], dtype=np.float64)
+            b1 = base[:, 1:]
+            delta = stats.log_evidence_delta(b1, base[:, :1] - b1, c1, c0, lam, eta)
             logw[idx] = math.log(prior[spec]) + delta
         return specs, logw
 
@@ -432,11 +427,9 @@ def complete_log_likelihood(state: SamplerState) -> float:
     of counts only, so the value is invariant to entity and id relabeling.
     """
     hyper = state.hyper
-    lam, eta = hyper.lam, hyper.eta
-    base = stats.log_beta_fn(lam, eta)
-    total = 0.0
-    for ones, zeros in state.rel.values():
-        total += stats.log_beta_fn(ones + lam, zeros + eta) - base
+    rows = np.array(list(state.rel.values()), dtype=np.float64)
+    ones = rows[:, 1:]
+    total = stats.log_evidence_delta(0, 0, ones, rows[:, :1] - ones, hyper.lam, hyper.eta)
 
     gamma = hyper.gamma
     counts: dict[int, int] = {}
@@ -538,10 +531,11 @@ def aggregate(samples: list[PosteriorSample]) -> tuple[PosteriorSample, np.ndarr
 
 
 def recover_community_relations(state: SamplerState, lam: float, eta: float) -> dict:
-    """Posterior-mean relation degree for every occupied sibling key."""
+    """Posterior-mean relation degree for every occupied sibling pair (a, b) and predicate r."""
     return {
-        key: (ones + lam) / (ones + zeros + lam + eta)
-        for key, (ones, zeros) in state.rel.items()
+        (a, b, r): (ones + lam) / (row[0] + lam + eta)
+        for (a, b), row in state.rel.items()
+        for r, ones in enumerate(row[1:])
     }
 
 
@@ -554,11 +548,12 @@ def audit_counts(state: SamplerState) -> AuditReport:
     """Compare incremental statistics against a from-scratch recount."""
     fresh: dict = {}
     state._recount_relations_into(fresh)
+    empty = [0] * (state.R + 1)
     for key in sorted(set(fresh) | set(state.rel)):
-        want = fresh.get(key, [0, 0])
-        have = state.rel.get(key, [0, 0])
+        want = fresh.get(key, empty)
+        have = state.rel.get(key, empty)
         if want != have:
-            return AuditReport(False, f"relation counts differ at key {key}: recount {want}, incremental {have}")
+            return AuditReport(False, f"relation counts differ at pair {key}: recount {want}, incremental {have}")
     ghist = [0] * (state.L + 1)
     ehist = np.zeros_like(state.ehist)
     state._recount_level_hists_into(ghist, ehist)
@@ -660,17 +655,27 @@ def load_sample_json(path) -> PosteriorSample:
         doc = json.load(fh)
     entities = doc["entities"]
     n = len(entities)
+    paths = [tuple(e["path"]) for e in entities]
+    levels = [int(e["level"]) for e in entities]
+    depth = len(paths[0]) if paths else 0
+    for e, entity_path, level in zip(entities, paths, levels):
+        if len(entity_path) != depth:
+            raise ValueError(f"entity {e['label']!r} has a path of length {len(entity_path)}, expected {depth}")
+        if not 1 <= level <= depth:
+            raise ValueError(f"entity {e['label']!r} has level {level}, outside 1..{depth}")
     indicators = None
     if _indicators_path(path).exists():
         indicators = np.load(_indicators_path(path)).astype(np.int64)
         if indicators.shape != (n, n, 2):
             raise ValueError(f"indicators file has shape {indicators.shape}, expected {(n, n, 2)}")
+        if n and not 1 <= indicators.min() <= indicators.max() <= depth:
+            raise ValueError(f"indicators file holds levels outside 1..{depth}")
     return PosteriorSample(
         iteration=int(doc["iteration"]),
         log_likelihood=float(doc["log_likelihood"]),
         tree=doc["tree"],
         entity_labels=[e["label"] for e in entities],
-        paths=[tuple(e["path"]) for e in entities],
-        levels=[int(e["level"]) for e in entities],
+        paths=paths,
+        levels=levels,
         indicators=indicators,
     )

@@ -2,7 +2,9 @@
 
 Everything here is pure.  Likelihood arithmetic runs in log space via
 log-gamma: pair counts reach 1e5 at desk scale and raw Beta-function values
-underflow long before that.
+underflow long before that.  The sampler's Beta-Bernoulli evidence lives here
+and nowhere else: ``log_evidence_delta`` for path moves and the complete
+log-likelihood, ``level_log_likelihood`` for level-indicator moves.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy.special import betaln
 
 from .hierarchy import Hierarchy, PathSpec, ROOT_ID
 
@@ -19,12 +22,10 @@ __all__ = [
     "Schedule",
     "Hyperparameters",
     "log_beta_fn",
-    "bernoulli_pmf",
-    "beta_log_pdf",
-    "multinomial_pmf",
     "beta_posterior",
+    "log_evidence_delta",
     "path_log_likelihood_delta",
-    "level_likelihood",
+    "level_log_likelihood",
     "stick_level_prior",
     "dirichlet_level_prior",
     "ncrp_path_prior",
@@ -113,40 +114,6 @@ def log_beta_fn(a: float, b: float) -> float:
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
-def bernoulli_pmf(p: float, x: int) -> float:
-    if not 0 <= p <= 1:
-        raise ValueError("p must lie in [0, 1]")
-    if x not in (0, 1):
-        raise ValueError("x must be 0 or 1")
-    return p if x == 1 else 1.0 - p
-
-
-def beta_log_pdf(x: float, a: float, b: float) -> float:
-    if not 0 < x < 1:
-        raise ValueError("x must lie in (0, 1)")
-    if a <= 0 or b <= 0:
-        raise ValueError("shape parameters must be > 0")
-    return (a - 1) * math.log(x) + (b - 1) * math.log(1 - x) - log_beta_fn(a, b)
-
-
-def multinomial_pmf(counts: Sequence[int], probs: Sequence[float]) -> float:
-    if len(counts) != len(probs):
-        raise ValueError("counts and probs must have equal length")
-    if any(c < 0 for c in counts):
-        raise ValueError("counts must be >= 0")
-    if any(p < 0 for p in probs) or not math.isclose(sum(probs), 1.0, abs_tol=1e-9):
-        raise ValueError("probs must be non-negative and sum to 1")
-    n = sum(counts)
-    log_coeff = math.lgamma(n + 1) - sum(math.lgamma(c + 1) for c in counts)
-    log_prob = 0.0
-    for c, p in zip(counts, probs):
-        if c > 0:
-            if p == 0:
-                return 0.0
-            log_prob += c * math.log(p)
-    return math.exp(log_coeff + log_prob)
-
-
 def beta_posterior(ones: int, zeros: int, lam: float, eta: float) -> tuple[float, float]:
     """Posterior Beta shapes for a relation degree given its routed pair counts."""
     if ones < 0 or zeros < 0:
@@ -156,46 +123,50 @@ def beta_posterior(ones: int, zeros: int, lam: float, eta: float) -> tuple[float
     return (ones + lam, zeros + eta)
 
 
+def log_evidence_delta(b1, b0, c1, c0, lam: float, eta: float) -> float:
+    """Log marginal-likelihood change from adding counts (c1, c0) to (b1, b0).
+
+    The arguments are broadcast arrays of one- and zero-counts, one entry per
+    sibling pair and predicate; the result sums log B(b1+c1+lam, b0+c0+eta) -
+    log B(b1+lam, b0+eta) over them.  With b = 0 it is the collapsed evidence
+    of the counts c themselves.
+    """
+    return float(np.sum(betaln(b1 + c1 + lam, b0 + c0 + eta) - betaln(b1 + lam, b0 + eta)))
+
+
 def path_log_likelihood_delta(
     base: Mapping[tuple, tuple[int, int]],
     contrib: Mapping[tuple, tuple[int, int]],
     lam: float,
     eta: float,
 ) -> float:
-    """Log marginal-likelihood change from adding one entity's pair counts.
+    """:func:`log_evidence_delta` over dicts of (ones, zeros) per sibling key.
 
-    ``base`` holds (ones, zeros) per sibling key with the entity removed;
-    ``contrib`` holds the entity's own counts routed under a candidate
-    assignment.  Keys absent from ``base`` count as (0, 0).
+    ``base`` holds the counts with the entity removed; ``contrib`` holds the
+    entity's own counts routed under a candidate assignment.  Keys absent from
+    ``base`` count as (0, 0).
     """
-    total = 0.0
-    for key, (c1, c0) in contrib.items():
-        b1, b0 = base.get(key, (0, 0))
-        total += log_beta_fn(b1 + c1 + lam, b0 + c0 + eta) - log_beta_fn(b1 + lam, b0 + eta)
-    return total
+    b = np.array([base.get(key, (0, 0)) for key in contrib], dtype=np.float64).reshape(-1, 2)
+    c = np.array(list(contrib.values()), dtype=np.float64).reshape(-1, 2)
+    return log_evidence_delta(b[:, 0], b[:, 1], c[:, 0], c[:, 1], lam, eta)
 
 
-def level_likelihood(
-    g_values: Sequence[int],
-    counts_minus: Sequence[tuple[int, int]],
-    lam: float,
-    eta: float,
-) -> float:
-    """Predictive probability of one pair's per-predicate values at their routed keys.
+def level_log_likelihood(g: Sequence[int], ones: Sequence[int], n: int, lam: float, eta: float) -> float:
+    """Log predictive probability of one pair's per-predicate values at a sibling pair.
 
-    Uses the gamma-free simplification of the collapsed Bernoulli-Beta ratio:
-    for each predicate the factor is (ones+lam)/(ones+zeros+lam+eta) when the
-    value is one and (zeros+eta)/(ones+zeros+lam+eta) when it is zero.
+    ``g[r]`` is the pair's value of predicate r, ``ones[r]`` the one-count of
+    predicate r among the ``n`` pairs routed to the sibling pair (the pair
+    itself excluded).  This is the gamma-free form of the collapsed
+    Beta-Bernoulli ratio: each predicate contributes (ones+lam)/(n+lam+eta)
+    for a one and (n-ones+eta)/(n+lam+eta) for a zero.  Unvalidated: the
+    level move calls it once per candidate level.
     """
-    if len(g_values) != len(counts_minus):
-        raise ValueError("g_values and counts_minus must align")
-    out = 1.0
-    for g, (ones, zeros) in zip(g_values, counts_minus):
-        if ones < 0 or zeros < 0:
-            raise ValueError("counts must be >= 0")
-        num = ones + lam if g else zeros + eta
-        out *= num / (ones + zeros + lam + eta)
-    return out
+    log = math.log
+    zeros_eta = n + eta
+    out = 0.0
+    for v, k in zip(g, ones):
+        out += log(k + lam) if v else log(zeros_eta - k)
+    return out - len(g) * log(n + lam + eta)
 
 
 def _stick_level_weights(hist: Sequence[int], mu: float, sigma: float) -> list[float]:

@@ -33,7 +33,7 @@ from hiersbm.stats import (
     Hyperparameters,
     Schedule,
     beta_posterior,
-    level_likelihood,
+    level_log_likelihood,
     log_beta_fn,
     path_log_likelihood_delta,
 )
@@ -91,7 +91,9 @@ def test_criterion_1_marginalization_oracles():
             num = math.lgamma(o + gv + lam) + math.lgamma(z + (1 - gv) + eta) + math.lgamma(o + z + lam + eta)
             den = math.lgamma(o + z + 1 + lam + eta) + math.lgamma(o + lam) + math.lgamma(z + eta)
             gamma_form *= math.exp(num - den)
-        simplified = level_likelihood(g, counts, lam, eta)
+        simplified = math.exp(
+            sum(level_log_likelihood([gv], [o], o + z, lam, eta) for gv, (o, z) in zip(g, counts))
+        )
         worst_level = max(worst_level, abs(simplified - gamma_form) / gamma_form)
 
     elapsed = time.time() - started

@@ -176,6 +176,17 @@ class TestFit:
         assert run_cli("fit", cfg) == 1
         assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("section,key,value", [("model", "depth", 2.7), ("schedule", "iterations", 6.9)])
+    def test_non_integral_config_integer(self, tmp_path, sbt_dir, capsys, section, key, value):
+        cfg = write_config(tmp_path, sbt_dir / "triples.tsv", tmp_path / "f")
+        config = json.loads(cfg.read_text())
+        config[section][key] = value
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        assert run_cli("fit", cfg) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and f"{section}.{key}" in err, err
+        assert not (tmp_path / "f").exists()
+
     def test_manifest_lists_indicator_files(self, fit_dir):
         outputs = json.loads((fit_dir / "run_manifest.json").read_text())["outputs"]
         for stem in ("sample_chain0_00", "sample_chain0_01", "point_estimate_chain0"):
@@ -235,6 +246,17 @@ class TestRender:
         bad = tmp_path / "bad.json"
         bad.write_text("{", encoding="utf-8")
         assert run_cli("render", bad) == 2
+
+    @pytest.mark.parametrize("field,value", [("level", 7), ("level", 0), ("path", [1, 2, 3])])
+    def test_inconsistent_sample_is_data_error(self, tmp_path, fit_dir, sbt_dir, capsys, field, value):
+        doc = json.loads((fit_dir / "point_estimate_chain0.json").read_text())
+        doc["entities"][1][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        for args in (("render", bad), ("eval", bad, sbt_dir / "truth.tsv", "--out-dir", tmp_path / "m"),
+                     ("relations", bad, sbt_dir / "triples.tsv", "--out", tmp_path / "r.csv")):
+            assert run_cli(*args) == 2, args
+            assert_one_line_error(capsys)
 
 
 class TestRelations:

@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hiersbm import sampler, synth
 from hiersbm.hierarchy import coarsen
@@ -344,6 +345,61 @@ class TestGibbsIteration:
         assert str(key) in report.message
 
 
+@st.composite
+def chains_and_moves(draw):
+    """A small random graph and state seed, plus a sequence of path and level moves."""
+    n = draw(st.integers(1, 5))
+    kg = random_kg(n, draw(st.integers(1, 3)), draw(st.sampled_from([0.0, 0.3, 0.7, 1.0])), draw(st.integers(0, 999)))
+    hyper = hyper_with(depth=draw(st.integers(1, 3)))
+    move = st.tuples(st.booleans(), st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 1))
+    return kg, hyper, draw(st.integers(0, 999)), draw(st.lists(move, min_size=1, max_size=10))
+
+
+def apply_move(state, move):
+    is_path, i, j, direction = move
+    if is_path:
+        sample_path(state, i)
+    else:
+        sample_level_indicator(state, i, j, direction)
+
+
+@settings(max_examples=100, deadline=None)
+@given(chains_and_moves())
+def test_counts_exact_and_log_likelihood_finite_after_every_move(case):
+    kg, hyper, seed, moves = case
+    state = init_state(kg, hyper, np.random.default_rng(seed))
+    for move in moves:
+        apply_move(state, move)
+        report = audit_counts(state)
+        assert report.ok, report.message
+        assert len(state.rel) == len(sampler._routed_counts(state.P, state.Z, state.G)[0])
+        assert math.isfinite(complete_log_likelihood(state))
+
+
+@settings(max_examples=100, deadline=None)
+@given(chains_and_moves(), st.randoms(use_true_random=False))
+def test_log_likelihood_invariant_to_entity_relabeling(case, random):
+    kg, hyper, seed, moves = case
+    state = init_state(kg, hyper, np.random.default_rng(seed))
+    for move in moves:
+        apply_move(state, move)
+    n = state.E
+    perm = list(range(n))
+    random.shuffle(perm)  # new entity k is old entity perm[k]
+    new_id = {old: k for k, old in enumerate(perm)}
+    renamed = KnowledgeGraph(
+        {f"e{k}": k for k in range(n)},
+        {f"r{r}": r for r in range(state.R)},
+        {(new_id[i], new_id[j], r) for i, j, r in kg.triples},
+    )
+    other = init_state(renamed, hyper, np.random.default_rng(seed))
+    other.P[:] = state.P[perm]
+    other.Z[:] = state.Z[np.ix_(perm, perm)]
+    other._recount_relations_into(other.rel)
+    other._recount_level_hists_into(other.ghist, other.ehist)
+    assert complete_log_likelihood(other) == pytest.approx(complete_log_likelihood(state), rel=1e-12, abs=1e-12)
+
+
 class TestCompleteLogLikelihood:
     def test_empty_graph_single_entity(self):
         lam, eta = 0.9, 1.1
@@ -452,9 +508,9 @@ class TestReadouts:
         kg = random_kg(4, 1, 0.6, 6)
         state = init_state(kg, hyper_with(depth=2), np.random.default_rng(6))
         means = recover_community_relations(state, 1.0, 1.0)
-        for key, value in means.items():
-            ones, zeros = state.rel[key]
-            assert value == pytest.approx((ones + 1) / (ones + zeros + 2))
+        for (a, b, r), value in means.items():
+            n, *ones = state.rel[(a, b)]
+            assert value == pytest.approx((ones[r] + 1) / (n + 2))
 
     def test_entity_level_mode(self):
         kg = random_kg(1, 1, 1.0, 0)
@@ -498,6 +554,20 @@ class TestPersistence:
         np.save(written[1], sample.indicators[:2].astype(np.uint8))
         with pytest.raises(ValueError, match="shape"):
             load_sample_json(path)
+
+
+@pytest.mark.parametrize("level", [0, 4])
+def test_indicators_outside_levels_rejected(tmp_path, level):
+    kg = random_kg(3, 1, 0.5, 5)
+    state = init_state(kg, hyper_with(depth=3), np.random.default_rng(5))
+    state.trace.append((0, complete_log_likelihood(state)))
+    path = tmp_path / "sample.json"
+    written = write_sample_json(take_sample(state), path)
+    bad = state.Z.astype(np.uint8)
+    bad[2, 0, 1] = level
+    np.save(written[1], bad)
+    with pytest.raises(ValueError, match="outside 1..3"):
+        load_sample_json(path)
 
 
 def test_per_iteration_cost_scales_subcubically():
