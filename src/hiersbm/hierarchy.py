@@ -158,31 +158,6 @@ class Hierarchy:
                 self._nodes[node.parent].children.remove(node.id)
                 del self._nodes[node.id]
 
-    def revive_path(self, path: Path) -> None:
-        """Re-register a concrete path, recreating pruned communities.
-
-        Only previously-issued ids can be revived (``next_id`` never moves
-        backwards), so reviving cannot clash with fresh ids.  Used to restore
-        state after probing a removal, e.g. when computing a conditional
-        distribution without committing a move.
-        """
-        if len(path) != self.depth:
-            raise ValueError(f"path must have {self.depth} levels, got {len(path)}")
-        parent = self._nodes[ROOT_ID]
-        for level, cid in enumerate(path, start=1):
-            node = self._nodes.get(cid)
-            if node is None:
-                if cid >= self._next_id:
-                    raise ValueError(f"id {cid} was never issued and cannot be revived")
-                node = Community(cid, parent.id, level)
-                self._nodes[cid] = node
-                parent.children.append(cid)
-            elif node.parent != parent.id or node.level != level:
-                raise ValueError(f"community {cid} does not fit the revived chain")
-            node.pass_count += 1
-            parent = node
-        self._nodes[ROOT_ID].pass_count += 1
-
     def to_dict(self) -> dict:
         """Nested JSON-ready tree: {id, level, pass_count, children: [...]}."""
 

@@ -102,24 +102,18 @@ def nmi(c: Clustering, truth: Clustering) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def clusters_at_level(sample: PosteriorSample, level: int, truncate_at_mode: bool = False) -> dict:
+def clusters_at_level(sample: PosteriorSample, level: int) -> dict:
     """Cluster labels at one level: each entity's path community at that level.
 
-    Every entity owns a full-depth path, so by default all entities are
-    labeled at every level regardless of their level mode.  With
-    ``truncate_at_mode`` an entity indicated above the requested level keeps
-    its community at the indicated level instead.
+    Every entity owns a full-depth path, so all entities are labeled at every
+    level regardless of their level mode.
     """
     if not sample.paths:
         raise ValueError("sample has no entities")
     depth = len(sample.paths[0])
     if not 1 <= level <= depth:
         raise ValueError(f"level must lie in 1..{depth}, got {level}")
-    out = {}
-    for entity, path, mode in zip(sample.entity_labels, sample.paths, sample.levels):
-        l = min(level, mode) if truncate_at_mode else level
-        out[entity] = path[l - 1]
-    return out
+    return {entity: path[level - 1] for entity, path in zip(sample.entity_labels, sample.paths)}
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,21 @@
 """Collapsed Gibbs engine: chain state, resampling moves, schedule, aggregation.
 
-The chain state keeps incremental sufficient statistics: one count row per
-occupied sibling pair of communities, ``rel[(a, b)] = [n, ones_0, ...,
-ones_{R-1}]`` (the number of entity pairs routed there, then the one-count of
-each predicate among them), and level-indicator histograms.  Every move
-removes the affected contributions, scores candidates against the remainder
-with the collapsed formulas in ``stats``, then reinstates the chosen
-configuration; ``audit_counts`` compares the incremental statistics against a
-from-scratch recount.  Candidate scoring runs in log space with log-sum-exp
-normalization, since candidate likelihood spreads exceed float range on dense
-graphs.
+The chain state keeps only what the moves read.  Its incremental sufficient
+statistics are one count row per occupied sibling pair of communities,
+``rel[(a, b)] = [n, ones_0, ..., ones_{R-1}]`` (the number of entity pairs
+routed there, then the one-count of each predicate among them), and one pooled
+level-indicator histogram ``ghist``, which the level prior reads.  Each
+entity's level mode is worked out from the indicators when a sample is taken.
+Every move removes the affected contributions, scores candidates against the
+remainder with the collapsed formulas and the level model in ``stats``, then
+reinstates the chosen configuration; ``audit_counts`` compares the incremental
+statistics against a from-scratch recount.  Candidate scoring runs in log
+space with log-sum-exp normalization, since candidate likelihood spreads
+exceed float range on dense graphs.
+
+``level_conditional`` and ``path_conditional`` return a move's exact
+conditional without making the move: they remove and score on a copy of the
+state, so the state they are given is never written.
 
 One chain owns one state exclusively; the full conditionals are sequential,
 so there is no intra-chain parallelism.  Independent chains differ only in
@@ -18,6 +24,7 @@ their seeds; ``hiersbm fit`` runs them one after another.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field
@@ -119,40 +126,28 @@ class SamplerState:
         ]
 
         # Indicators i.i.d. from the zero-count level prior.
-        cum = np.cumsum(self._zero_count_level_prior())
+        cum = np.cumsum(stats.level_prior([0] * self.L, hyper))
         self.Z = (np.searchsorted(cum, self.rng.random((self.E, self.E, 2))) + 1).astype(np.int64)
         np.clip(self.Z, 1, self.L, out=self.Z)
 
         self.rel: dict[tuple[int, int], list[int]] = {}
         self._recount_relations_into(self.rel)
         self.ghist = [0] * (self.L + 1)
-        self.ehist = np.zeros((self.E, self.L + 1), dtype=np.int64)
-        self._recount_level_hists_into(self.ghist, self.ehist)
+        self._recount_level_hist_into(self.ghist)
 
         self.iteration = 0
         self.trace: Trace = []
         self.path_resamples = np.zeros(self.E, dtype=np.int64)
 
     def _set_graph(self, G: np.ndarray) -> None:
-        """Install the E x E x R uint8 graph and its bytes, pair (x, y) at (x*E + y)*R; the caller recounts."""
-        self.G = G
+        """Install the E x E x R uint8 graph as bytes, pair (x, y) at (x*E + y)*R; the caller recounts.
+
+        ``G`` is a read-only view of those bytes, so the state holds one copy.
+        """
         self._g = G.tobytes()
+        self.G = np.frombuffer(self._g, dtype=np.uint8).reshape(G.shape)
 
     # -- routing ---------------------------------------------------------
-
-    def _zero_count_level_prior(self) -> np.ndarray:
-        if self.hyper.level_prior_mode == "stick":
-            return stats.stick_level_prior([0] * self.L, self.hyper.mu, self.hyper.sigma)
-        return stats.dirichlet_level_prior([0] * self.L, self.hyper.alpha)
-
-    def _level_prior(self) -> list[float]:
-        hist = self.ghist[1:]
-        if self.hyper.level_prior_mode == "stick":
-            return stats._stick_level_weights(hist, self.hyper.mu, self.hyper.sigma)
-        alpha = self.hyper.alpha
-        post = [a + h for a, h in zip(alpha, hist)]
-        total = sum(post)
-        return [p / total for p in post]
 
     def _refresh_divergence_row(self, i: int) -> None:
         d = divergence_levels(self.P, self.P[i])
@@ -188,12 +183,6 @@ class SamplerState:
             if j != i:
                 self._pair_apply(j, i, sign)
 
-    def _hist_apply(self, i: int, j: int, level: int, sign: int) -> None:
-        self.ghist[level] += sign
-        self.ehist[i, level] += sign
-        if i != j:
-            self.ehist[j, level] += sign
-
     # -- from-scratch recounts (init and audits) ---------------------------
 
     def _recount_relations_into(self, out: dict) -> None:
@@ -201,23 +190,18 @@ class SamplerState:
         pairs, _, ones, totals = _routed_counts(self.P, self.Z, self.G)
         out.update(zip(map(tuple, pairs.tolist()), np.column_stack([totals, ones]).tolist()))
 
-    def _recount_level_hists_into(self, ghist: list, ehist: np.ndarray) -> None:
-        E, L1 = self.E, self.L + 1
-        ghist[:] = np.bincount(self.Z.ravel(), minlength=L1).tolist()
-        # entity e's bins are e*L1 + level; it owns row e and column e of Z, the self pair once
-        idx = np.arange(E)
-        own = idx[:, None] * L1
-        bins = (own[:, :, None] + self.Z, own.T[:, :, None] + self.Z, own + self.Z[idx, idx])
-        row, col, diag = (np.bincount(b.ravel(), minlength=E * L1) for b in bins)
-        ehist[:] = (row + col - diag).reshape(E, L1)
+    def _recount_level_hist_into(self, ghist: list) -> None:
+        ghist[:] = np.bincount(self.Z.ravel(), minlength=self.L + 1).tolist()
 
     # -- conditional distributions ----------------------------------------
 
-    def _level_log_weights_pair_removed(self, i: int, j: int, direction: int) -> list[float]:
-        """Log posterior weights over levels, pair (i, j) already removed from counts."""
+    def _remove_indicator_and_score(self, i: int, j: int, direction: int) -> list[float]:
+        """Remove pair (i, j) and one of its indicators from the counts; return log weights over levels."""
         zi = int(self.Z[i, j, SENDER])
         zj = int(self.Z[i, j, RECEIVER])
-        prior = self._level_prior()
+        self._pair_apply(i, j, -1)
+        self.ghist[zj if direction else zi] -= 1
+        prior = stats.level_prior(self.ghist[1:], self.hyper)
         lam, eta = self.hyper.lam, self.hyper.eta
         start = (i * self.E + j) * self.R
         g = self._g[start : start + self.R]  # one predicate value per byte
@@ -229,15 +213,17 @@ class SamplerState:
             logw[l - 1] = math.log(prior[l - 1]) + stats.level_log_likelihood(g, row[1:], row[0], lam, eta)
         return logw
 
-    def _score_path_candidates(self, i: int) -> tuple[list[PathSpec], np.ndarray]:
-        """Log posterior weights for every candidate path of entity i.
+    def _remove_entity_and_score(self, i: int) -> tuple[list[PathSpec], np.ndarray]:
+        """Remove entity i's pairs and path; return every candidate path and its log weight.
 
-        Entity i's pair contributions and path must already be removed.  All
-        of the entity's interactions (both directions, all predicates, the
-        self-pair once) are routed under each candidate with the current
-        indicators; fresh communities are encoded as negative sentinels and
-        contribute zero base counts.
+        Removing the path prunes emptied communities.  All of the entity's
+        interactions (both directions, all predicates, the self-pair once) are
+        routed under each candidate with the current indicators; fresh
+        communities are encoded as negative sentinels and contribute zero base
+        counts.
         """
+        self._entity_pairs_apply(i, -1)
+        self.h.remove_path(tuple(int(c) for c in self.P[i]))
         E, L, R = self.E, self.L, self.R
         prior = stats.ncrp_path_prior(self.h, self.hyper.gamma)
         specs = list(prior)
@@ -332,28 +318,31 @@ def sample_level_indicator(state: SamplerState, i: int, j: int, direction: int) 
     """
     if state.L == 1:
         return
-    cur = int(state.Z[i, j, direction])
-    state._pair_apply(i, j, -1)
-    state._hist_apply(i, j, cur, -1)
-    logw = state._level_log_weights_pair_removed(i, j, direction)
+    logw = state._remove_indicator_and_score(i, j, direction)
     new = _categorical_from_logs(state.rng, logw) + 1
     state.Z[i, j, direction] = new
-    state._hist_apply(i, j, new, +1)
+    state.ghist[new] += 1
     state._pair_apply(i, j, +1)
+
+
+def _probe_copy(state: SamplerState) -> SamplerState:
+    return copy.deepcopy(state, {id(state.kg): state.kg})  # the graph is never written
+
+
+def _normalized(logw) -> np.ndarray:
+    w = np.exp(np.asarray(logw) - logsumexp(logw))
+    return w / w.sum()
 
 
 def level_conditional(state: SamplerState, i: int, j: int, direction: int) -> np.ndarray:
-    """Exact conditional distribution of one indicator; state is left unchanged."""
+    """Exact conditional distribution of one indicator, over levels 1..L.
+
+    The indicator is removed and its levels scored on a copy of the state, as
+    ``sample_level_indicator`` would; the state passed in is never written.
+    """
     if state.L == 1:
         return np.ones(1)
-    cur = int(state.Z[i, j, direction])
-    state._pair_apply(i, j, -1)
-    state._hist_apply(i, j, cur, -1)
-    logw = np.asarray(state._level_log_weights_pair_removed(i, j, direction))
-    state._hist_apply(i, j, cur, +1)
-    state._pair_apply(i, j, +1)
-    w = np.exp(logw - logsumexp(logw))
-    return w / w.sum()
+    return _normalized(_probe_copy(state)._remove_indicator_and_score(i, j, direction))
 
 
 def sample_path(state: SamplerState, i: int) -> None:
@@ -364,10 +353,7 @@ def sample_path(state: SamplerState, i: int) -> None:
     by prior times collapsed likelihood, and the chosen path is materialized
     with fresh ids for any new branch.
     """
-    original = tuple(int(c) for c in state.P[i])
-    state._entity_pairs_apply(i, -1)
-    state.h.remove_path(original)
-    specs, logw = state._score_path_candidates(i)
+    specs, logw = state._remove_entity_and_score(i)
     choice = _categorical_from_logs(state.rng, logw)
     state.P[i] = state.h.add_path(specs[choice])
     state._refresh_divergence_row(i)
@@ -378,17 +364,12 @@ def sample_path(state: SamplerState, i: int) -> None:
 def path_conditional(state: SamplerState, i: int) -> tuple[list[PathSpec], np.ndarray]:
     """Candidate path specs and their exact conditional probabilities.
 
-    The state is probed (removal, scoring) and restored exactly, including
-    pruned community ids.
+    The entity is removed and the candidates scored on a copy of the state, as
+    ``sample_path`` would, so the specs name the copy's tree after pruning;
+    the state passed in is never written.
     """
-    original = tuple(int(c) for c in state.P[i])
-    state._entity_pairs_apply(i, -1)
-    state.h.remove_path(original)
-    specs, logw = state._score_path_candidates(i)
-    state.h.revive_path(original)
-    state._entity_pairs_apply(i, +1)
-    w = np.exp(logw - logsumexp(logw))
-    return specs, w / w.sum()
+    specs, logw = _probe_copy(state)._remove_entity_and_score(i)
+    return specs, _normalized(logw)
 
 
 def gibbs_iteration(state: SamplerState, degrees: DegreeTable) -> None:
@@ -442,33 +423,8 @@ def complete_log_likelihood(state: SamplerState) -> float:
             counts[c] = nc + 1
             parent_n = nc
 
-    total += _level_log_marginal(state)
+    total += stats.level_log_marginal(state.ghist[1:], hyper)
     return total
-
-
-def _level_log_marginal(state: SamplerState) -> float:
-    if state.L == 1:
-        return 0.0
-    hist = state.ghist
-    if state.hyper.level_prior_mode == "stick":
-        ms = state.hyper.mu * state.hyper.sigma
-        rs = (1.0 - state.hyper.mu) * state.hyper.sigma
-        base = stats.log_beta_fn(ms, rs)
-        out = 0.0
-        deeper = 0
-        for l in range(state.L, 0, -1):
-            n_l = hist[l]
-            if n_l or deeper:
-                out += stats.log_beta_fn(ms + n_l, rs + deeper) - base
-            deeper += n_l
-        return out
-    alpha = state.hyper.alpha
-    total_alpha = float(sum(alpha))
-    n = sum(hist[1:])
-    out = math.lgamma(total_alpha) - math.lgamma(total_alpha + n)
-    for l in range(1, state.L + 1):
-        out += math.lgamma(alpha[l - 1] + hist[l]) - math.lgamma(alpha[l - 1])
-    return out
 
 
 def run(kg: KnowledgeGraph, hyper: Hyperparameters) -> tuple[list[PosteriorSample], Trace]:
@@ -503,7 +459,7 @@ def take_sample(state: SamplerState) -> PosteriorSample:
         tree=state.h.to_dict(),
         entity_labels=list(state.kg.entity_labels),
         paths=[tuple(int(c) for c in row) for row in state.P],
-        levels=[entity_level_mode(state, i) for i in range(state.E)],
+        levels=_level_modes(state.Z, state.L),
         indicators=state.Z.copy(),
     )
 
@@ -539,9 +495,23 @@ def recover_community_relations(state: SamplerState, lam: float, eta: float) -> 
     }
 
 
+def _level_modes(Z: np.ndarray, L: int) -> list[int]:
+    """Each entity's mode over its incident indicators, ties toward the shallower level.
+
+    Entity e's indicators are both of every pair in row e and column e of
+    ``Z``, the self pair counted once; its bins are e*(L+1) + level.
+    """
+    E, L1 = len(Z), L + 1
+    idx = np.arange(E)
+    own = idx[:, None] * L1
+    bins = (own[:, :, None] + Z, own.T[:, :, None] + Z, own + Z[idx, idx])
+    row, col, diag = (np.bincount(b.ravel(), minlength=E * L1) for b in bins)
+    return ((row + col - diag).reshape(E, L1)[:, 1:].argmax(axis=1) + 1).tolist()
+
+
 def entity_level_mode(state: SamplerState, i: int) -> int:
     """Mode of entity i's incident level indicators, ties toward the shallower level."""
-    return int(np.argmax(state.ehist[i, 1:])) + 1
+    return _level_modes(state.Z, state.L)[i]
 
 
 def audit_counts(state: SamplerState) -> AuditReport:
@@ -555,16 +525,9 @@ def audit_counts(state: SamplerState) -> AuditReport:
         if want != have:
             return AuditReport(False, f"relation counts differ at pair {key}: recount {want}, incremental {have}")
     ghist = [0] * (state.L + 1)
-    ehist = np.zeros_like(state.ehist)
-    state._recount_level_hists_into(ghist, ehist)
+    state._recount_level_hist_into(ghist)
     if ghist != state.ghist:
         return AuditReport(False, f"global level histogram differs: recount {ghist}, incremental {state.ghist}")
-    if not np.array_equal(ehist, state.ehist):
-        i = int(np.nonzero((ehist != state.ehist).any(axis=1))[0][0])
-        return AuditReport(
-            False,
-            f"entity {i} level histogram differs: recount {ehist[i].tolist()}, incremental {state.ehist[i].tolist()}",
-        )
     return AuditReport(True)
 
 

@@ -4,7 +4,9 @@ Everything here is pure.  Likelihood arithmetic runs in log space via
 log-gamma: pair counts reach 1e5 at desk scale and raw Beta-function values
 underflow long before that.  The sampler's Beta-Bernoulli evidence lives here
 and nowhere else: ``log_evidence_delta`` for path moves and the complete
-log-likelihood, ``level_log_likelihood`` for level-indicator moves.
+log-likelihood, ``level_log_likelihood`` for level-indicator moves.  So does
+its level model: ``level_prior`` (the predictive a level move draws from) and
+``level_log_marginal`` (the indicators' term of the complete log-likelihood).
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ __all__ = [
     "log_evidence_delta",
     "path_log_likelihood_delta",
     "level_log_likelihood",
+    "level_prior",
+    "level_log_marginal",
     "stick_level_prior",
     "dirichlet_level_prior",
     "ncrp_path_prior",
@@ -216,6 +220,45 @@ def dirichlet_level_prior(hist: Sequence[int], alpha: Sequence[float]) -> np.nda
         raise ValueError("histogram counts must be >= 0")
     post = np.asarray(alpha, dtype=np.float64) + np.asarray(hist, dtype=np.float64)
     return post / post.sum()
+
+
+def level_prior(hist: Sequence[int], hyper: Hyperparameters) -> list[float]:
+    """Posterior-predictive level distribution under ``hyper``'s level prior.
+
+    ``hist[l-1]`` counts the pooled indicators at level ``l``, the one being
+    drawn excluded.  Unvalidated: the level move calls it once per move.
+    """
+    if hyper.level_prior_mode == "stick":
+        return _stick_level_weights(hist, hyper.mu, hyper.sigma)
+    post = [a + h for a, h in zip(hyper.alpha, hist)]
+    total = sum(post)
+    return [p / total for p in post]
+
+
+def level_log_marginal(hist: Sequence[int], hyper: Hyperparameters) -> float:
+    """Collapsed log marginal of the pooled indicators, ``hist[l-1]`` of them at level ``l``.
+
+    Exactly zero for a single-level tree, where every indicator is level 1.
+    """
+    if hyper.depth == 1:
+        return 0.0
+    if hyper.level_prior_mode == "stick":
+        ms = hyper.mu * hyper.sigma
+        rs = (1.0 - hyper.mu) * hyper.sigma
+        base = log_beta_fn(ms, rs)
+        out = 0.0
+        deeper = 0
+        for n_l in reversed(hist):
+            if n_l or deeper:
+                out += log_beta_fn(ms + n_l, rs + deeper) - base
+            deeper += n_l
+        return out
+    alpha = hyper.alpha
+    total_alpha = float(sum(alpha))
+    out = math.lgamma(total_alpha) - math.lgamma(total_alpha + sum(hist))
+    for a, n_l in zip(alpha, hist):
+        out += math.lgamma(a + n_l) - math.lgamma(a)
+    return out
 
 
 def ncrp_path_prior(h: Hierarchy, gamma: float) -> dict[PathSpec, float]:

@@ -102,14 +102,6 @@ class TestAddRemove:
         assert before == after
         h.validate()
 
-    def test_revive_restores_pruned_ids(self):
-        h, ids = build_toy_tree()
-        path = (ids["b2"], ids["leaf_c"])
-        h.remove_path(path)
-        h.revive_path(path)
-        assert h.pass_count(ids["leaf_c"]) == 1
-        h.validate()
-
     def test_random_interleaving_keeps_invariants(self):
         rng = np.random.default_rng(3)
         h = Hierarchy(3)

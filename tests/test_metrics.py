@@ -207,11 +207,6 @@ class TestClustersAtLevel:
         for level in (1, 2):
             assert len(set(clusters_at_level(sample, level).values())) == 1
 
-    def test_truncate_at_mode_option(self):
-        got = clusters_at_level(toy_sample(), 2, truncate_at_mode=True)
-        assert got["Michael Smith"] == 1  # indicated at level 1, kept there
-        assert got["Brad Pitt"] == 3
-
     def test_level_bounds(self):
         with pytest.raises(ValueError):
             clusters_at_level(toy_sample(), 0)

@@ -1,3 +1,4 @@
+import copy
 import math
 import time
 
@@ -131,7 +132,6 @@ class TestInitState:
     def test_incident_histogram_totals(self):
         kg = random_kg(5, 1, 0.5, 3)
         state = init_state(kg, hyper_with(), np.random.default_rng(3))
-        assert state.ehist.sum(axis=1).tolist() == [2 * (2 * 5 - 1)] * 5
         assert sum(state.ghist) == 2 * 5 * 5
 
 
@@ -217,7 +217,7 @@ class TestLevelIndicatorMove:
             # restore the conditioning state before the next draw
             state.Z[0, 1, 0] = baseline
             state._recount_relations_into(state.rel)
-            state._recount_level_hists_into(state.ghist, state.ehist)
+            state._recount_level_hist_into(state.ghist)
         assert audit_counts(state).ok
         freq = hits / draws
         for k in range(2):
@@ -270,14 +270,31 @@ class TestPathMove:
         assert report.ok, report.message
 
     def test_conditional_probe_leaves_state_unchanged(self):
-        kg = random_kg(4, 1, 0.5, 8)
-        state = init_state(kg, hyper_with(depth=2), np.random.default_rng(8))
+        # on this graph some removals prune a child that is not its parent's
+        # last one, and some empty a row of rel
+        kg = random_kg(8, 2, 0.5, 1)
+        state = init_state(kg, hyper_with(depth=3), np.random.default_rng(1))
+        deg = degree_table(kg)
+        twin = copy.deepcopy(state, {id(kg): kg})
         paths_before = state.P.copy()
-        rel_before = {k: list(v) for k, v in state.rel.items()}
-        path_conditional(state, 2)
+        tree_before = state.h.to_dict()
+        rel_before = [(k, list(v)) for k, v in state.rel.items()]
+        ghist_before = list(state.ghist)
+        for i in range(state.E):
+            path_conditional(state, i)
+            for j in range(state.E):
+                for d in (0, 1):
+                    level_conditional(state, i, j, d)
         assert np.array_equal(state.P, paths_before)
-        assert {k: list(v) for k, v in state.rel.items()} == rel_before
+        assert state.h.to_dict() == tree_before
+        assert [(k, list(v)) for k, v in state.rel.items()] == rel_before
+        assert state.ghist == ghist_before
         assert audit_counts(state).ok
+        gibbs_iteration(state, deg)
+        gibbs_iteration(twin, deg)
+        assert np.array_equal(state.P, twin.P)
+        assert np.array_equal(state.Z, twin.Z)
+        assert state.trace == twin.trace
 
 
 class TestGibbsIteration:
@@ -396,7 +413,7 @@ def test_log_likelihood_invariant_to_entity_relabeling(case, random):
     other.P[:] = state.P[perm]
     other.Z[:] = state.Z[np.ix_(perm, perm)]
     other._recount_relations_into(other.rel)
-    other._recount_level_hists_into(other.ghist, other.ehist)
+    other._recount_level_hist_into(other.ghist)
     assert complete_log_likelihood(other) == pytest.approx(complete_log_likelihood(state), rel=1e-12, abs=1e-12)
 
 
@@ -496,6 +513,35 @@ class TestRunAndAggregate:
             aggregate([])
 
 
+def plain_level_modes(Z, depth):
+    """Each entity's most frequent level over row e and column e of Z, the self pair once."""
+    n = len(Z)
+    modes = []
+    for e in range(n):
+        counts = [0] * (depth + 1)
+        for j in range(n):
+            for d in (0, 1):
+                counts[int(Z[e, j, d])] += 1
+                if j != e:
+                    counts[int(Z[j, e, d])] += 1
+        best = 1
+        for level in range(2, depth + 1):
+            if counts[level] > counts[best]:  # ties stay with the shallower level
+                best = level
+        modes.append(best)
+    return modes
+
+
+@settings(max_examples=100, deadline=None)
+@given(chains_and_moves())
+def test_sample_levels_are_incident_indicator_modes(case):
+    kg, hyper, seed, moves = case
+    state = init_state(kg, hyper, np.random.default_rng(seed))
+    for move in moves:
+        apply_move(state, move)
+    assert take_sample(state).levels == plain_level_modes(state.Z, hyper.depth)
+
+
 class TestReadouts:
     def test_recover_prior_mean_on_empty_key(self):
         kg = KnowledgeGraph({"a": 0}, {"p": 0}, set())
@@ -516,10 +562,9 @@ class TestReadouts:
         kg = random_kg(1, 1, 1.0, 0)
         state = init_state(kg, hyper_with(depth=2), np.random.default_rng(1))
         state.Z[:] = 2
-        state._recount_level_hists_into(state.ghist, state.ehist)
         assert entity_level_mode(state, 0) == 2
         # ties break toward the shallower level
-        state.ehist[0, 1] = state.ehist[0, 2]
+        state.Z[0, 0, 0] = 1
         assert entity_level_mode(state, 0) == 1
 
 
