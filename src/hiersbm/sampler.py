@@ -13,6 +13,16 @@ statistics against a from-scratch recount.  Candidate scoring runs in log
 space with log-sum-exp normalization, since candidate likelihood spreads
 exceed float range on dense graphs.
 
+A path move scores all of its candidates in one pass over the tree.  Under a
+candidate path, each of the entity's pairs lands on a sibling key of one node
+of that path or on the node's diagonal key, so the collapsed evidence is a sum
+of per-node terms (the sibling keys a node shares with the other children of
+its parent, and its diagonal key), computed once per move in one batched
+``stats.log_evidence_terms`` call.  An existing leaf scores the sum along its
+path, corrected at the diagonal keys that other entities on that leaf reach;
+a new branch below community p scores p's path sum plus one sibling term for
+the children of p it would join.
+
 ``level_conditional`` and ``path_conditional`` return a move's exact
 conditional without making the move: they remove and score on a copy of the
 state, so the state they are given is never written.
@@ -34,7 +44,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import stats, synth
-from .hierarchy import Hierarchy, Path, PathSpec, divergence_levels, route_levels, route_pairs
+from .hierarchy import ROOT_ID, Hierarchy, Path, PathSpec, divergence_levels, route_levels, route_pairs
 from .kgraph import DegreeTable, KnowledgeGraph, degree_table
 from .stats import Hyperparameters
 
@@ -216,61 +226,115 @@ class SamplerState:
     def _remove_entity_and_score(self, i: int) -> tuple[list[PathSpec], np.ndarray]:
         """Remove entity i's pairs and path; return every candidate path and its log weight.
 
-        Removing the path prunes emptied communities.  All of the entity's
-        interactions (both directions, all predicates, the self-pair once) are
-        routed under each candidate with the current indicators; fresh
-        communities are encoded as negative sentinels and contribute zero base
-        counts.
+        Removing the path prunes emptied communities.  The candidates are the
+        specs of ``ncrp_path_prior``, in its order; each log weight is the log
+        prior plus the collapsed evidence of all of the entity's interactions
+        (both directions, all predicates, the self pair once) routed under the
+        candidate at the current indicators.  That evidence is a sum of
+        per-node terms along the candidate path (``_path_node_scores``): an
+        existing leaf scores its path sum, and a new branch below community p
+        scores p's path sum plus one term for the siblings it would join.
         """
         self._entity_pairs_apply(i, -1)
         self.h.remove_path(tuple(int(c) for c in self.P[i]))
-        E, L, R = self.E, self.L, self.R
         prior = stats.ncrp_path_prior(self.h, self.hyper.gamma)
-        specs = list(prior)
-        lam, eta = self.hyper.lam, self.hyper.eta
-        P = self.P
-        rows = np.arange(E)
-        z_out_s = self.Z[i, :, SENDER].astype(np.int64)
-        z_out_r = self.Z[i, :, RECEIVER].astype(np.int64)
-        z_in_s = self.Z[:, i, SENDER].astype(np.int64)
-        z_in_r = self.Z[:, i, RECEIVER].astype(np.int64)
-        keep_in = rows != i
-        g = np.concatenate([self.G[i, :, :], self.G[:, i, :][keep_in]]).ravel().astype(np.float64)
-        r_offsets = np.arange(R, dtype=np.int64)
+        leaf_score, new_score = self._path_node_scores(i)
+        logw = np.empty(len(prior))
+        for k, (spec, p) in enumerate(prior.items()):
+            if spec[-1] is not None:
+                score = leaf_score[spec[-1]]
+            else:
+                branch = spec.index(None)
+                score = new_score[spec[branch - 1] if branch else ROOT_ID]
+            logw[k] = math.log(p) + score
+        return list(prior), logw
+
+    def _path_node_scores(self, i: int) -> tuple[dict[int, float], dict[int, float]]:
+        """Collapsed evidence of entity i's pairs under every candidate path, from per-node sums.
+
+        Entity i is out of the counts and the tree.  Take a candidate path c
+        and another entity j whose path leaves c at level d (L+1 on a shared
+        leaf).  Pair (i, j) goes to the sibling key (c_d, P[j]_d) unless its
+        indicators are equal at some z < d, which sends it to the diagonal key
+        (c_z, c_z), or d = L+1 and they differ, which sends it to (c_m, c_m)
+        at m = min(zs, zr); pair (j, i) routes alike to (P[j]_d, c_d).  The
+        self pair goes to (c_m, c_m).  No two of these keys coincide, so the
+        evidence is one term per node of c: the sibling keys it shares with
+        the other children of its parent, and its diagonal key.
+
+        Returns two dicts by community id: the score of the community as an
+        existing leaf (read for leaves only), and the score of a new branch
+        below it, the root included.
+        """
+        L, R = self.L, self.R
+        others = np.flatnonzero(np.arange(self.E) != i)
+        nodes, Q = np.unique(self.P[others], return_inverse=True)
+        Q = Q.reshape(len(others), L)  # community index per other entity and level
+        N = len(nodes)
+        level = np.zeros(N + 1, dtype=np.int64)  # index N is the root, at level 0
+        level[Q] = np.arange(1, L + 1)
+        parent = np.full(N, N)
+        parent[Q[:, 1:]] = Q[:, :-1]
+
+        # rows [1, g_0, ..., g_{R-1}] of pairs (i, j) and (j, i), j in others, and of the self pair
+        W = np.ones((2, len(others), R + 1))
+        W[0, :, 1:] = self.G[i, others]
+        W[1, :, 1:] = self.G[others, i]
+        zs = np.stack([self.Z[i, others, SENDER], self.Z[others, i, SENDER]])
+        zr = np.stack([self.Z[i, others, RECEIVER], self.Z[others, i, RECEIVER]])
+        eq = zs == zr
+        own = np.ones((1, R + 1))
+        own[0, 1:] = self.G[i, i]
+        m = int(self.Z[i, i].min())
+
+        # S[0, s], S[1, s]: rows that reach sibling s at its level undiverted, out and in
+        keep = ~(eq[:, :, None] & (zs[:, :, None] < np.arange(1, L + 1)))
+        at = (np.arange(2)[:, None, None] * N + Q)[keep]
+        S = _sum_rows(at, np.broadcast_to(W[:, :, None, :], keep.shape + (R + 1,))[keep], 2 * N).reshape(2, N, R + 1)
+        # diagonal rows: equal indicators at x's level under x, and the self pair at level m
+        j = np.broadcast_to(np.arange(len(others)), eq.shape)
+        diag_rows = _sum_rows(Q[j, zs - 1][eq], W[eq], N)
+        diag_rows[level[:N] == m] += own[0]
+        # same-leaf rows with unequal indicators, keyed by (leaf, diagonal node at the smaller level)
+        split = ~eq
+        fix_keys, fix_at = np.unique(
+            Q[j[split], L - 1] * N + Q[j[split], np.minimum(zs, zr)[split] - 1], return_inverse=True
+        )
+        fix_leaf, fix_node = np.divmod(fix_keys, N)
+        fix_rows = diag_rows[fix_node] + _sum_rows(fix_at, W[split], len(fix_keys))
+
+        # ordered sibling pairs (a, b), a != b
+        order = np.argsort(parent, kind="stable")
+        by_parent = parent[order]
+        first = np.searchsorted(by_parent, by_parent)
+        size = np.searchsorted(by_parent, by_parent, side="right") - first
+        a = np.repeat(np.arange(N), size)
+        b = first[a] + np.arange(len(a)) - np.repeat(np.cumsum(size) - size, size)
+        a, b = order[a[a != b]], order[b[a != b]]
+
+        # one evidence term per row: base counts at the key plus the rows the entity adds there
+        ids = nodes.tolist()
         empty = [0] * (R + 1)
-        off = L + 2
-        mod = self.h.next_id + off + L + 2
-        logw = np.empty(len(specs))
-        for idx, spec in enumerate(specs):
-            cpath = np.array(
-                [-(lvl + 2) if c is None else c for lvl, c in enumerate(spec)], dtype=np.int64
-            )
-            div = divergence_levels(P, cpath)
-            div[i] = L + 1  # the self pair compares the candidate with itself
+        rel = self.rel
+        pair_keys = zip(nodes[a].tolist(), nodes[b].tolist())
+        pair_base = np.array([rel.get(k, empty) for k in pair_keys], dtype=np.float64).reshape(-1, R + 1)
+        diag_base = np.array([rel.get((x, x), empty) for x in ids], dtype=np.float64).reshape(-1, R + 1)
+        base = np.concatenate([pair_base, pair_base, diag_base, np.zeros((2 * N + 1, R + 1)), diag_base[fix_node]])
+        added = np.concatenate([S[0, b], S[1, a], diag_rows, S[0], S[1], own, fix_rows])
+        b1, c1 = base[:, 1:], added[:, 1:]
+        t = stats.log_evidence_terms(b1, base[:, :1] - b1, c1, added[:, :1] - c1, self.hyper.lam, self.hyper.eta)
+        out_ab, in_ab, diag, new_out, new_in, new_own, fixed = np.split(
+            t.sum(axis=-1), np.cumsum([len(a), len(a), N, N, N, 1])
+        )
 
-            # pairs (i, j): sender path is the candidate, receiver path is P[j]
-            ls, lr = route_levels(z_out_s, z_out_r, div, L)
-            a_out = cpath[ls - 1]
-            b_out = P[rows, lr - 1]
-            b_out[i] = cpath[lr[i] - 1]
-
-            # pairs (j, i): sender path is P[j], receiver path is the candidate
-            ls2, lr2 = route_levels(z_in_s, z_in_r, div, L)
-            a_in = P[rows, ls2 - 1]
-            b_in = cpath[lr2 - 1]
-
-            a = np.concatenate([a_out, a_in[keep_in]])
-            b = np.concatenate([b_out, b_in[keep_in]])
-            uq, inv = np.unique((a + off) * mod + (b + off), return_inverse=True)
-            K = len(uq)
-            c1 = np.bincount((inv[:, None] * R + r_offsets).ravel(), weights=g, minlength=K * R).reshape(K, R)
-            c0 = np.bincount(inv, minlength=K)[:, None] - c1
-            keys = zip((uq // mod - off).tolist(), (uq % mod - off).tolist())
-            base = np.array([self.rel.get(key, empty) for key in keys], dtype=np.float64)
-            b1 = base[:, 1:]
-            delta = stats.log_evidence_delta(b1, base[:, :1] - b1, c1, c0, lam, eta)
-            logw[idx] = math.log(prior[spec]) + delta
-        return specs, logw
+        # (a, b) serves candidate node a against sibling b's pairs (i, j),
+        # and candidate node b against sibling a's pairs (j, i)
+        node_term = np.bincount(a, out_ab, N) + np.bincount(b, in_ab, N) + diag
+        prefix = np.zeros(N + 1)
+        prefix[Q] = np.cumsum(node_term[Q], axis=1)
+        leaf_score = prefix[:N] + np.bincount(fix_leaf, fixed - diag[fix_node], N)
+        new_score = prefix + np.bincount(parent, new_out + new_in, N + 1) + np.where(level < m, new_own, 0.0)
+        return dict(zip(ids, leaf_score.tolist())), dict(zip(ids + [ROOT_ID], new_score.tolist()))
 
 
 def _routed_counts(P: np.ndarray, Z: np.ndarray, G: np.ndarray):
@@ -287,6 +351,13 @@ def _routed_counts(P: np.ndarray, Z: np.ndarray, G: np.ndarray):
     keys = (flat[:, None] * R + np.arange(R)).ravel()
     ones = np.bincount(keys, weights=G.reshape(-1), minlength=K * R).astype(np.int64).reshape(K, R)
     return pairs, index, ones, totals
+
+
+def _sum_rows(index: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
+    """Sum the rows of ``rows`` into ``size`` bins by ``index``."""
+    out = np.zeros((size, rows.shape[-1]))
+    np.add.at(out, index, rows)
+    return out
 
 
 def _categorical_from_logs(rng: np.random.Generator, logw) -> int:

@@ -3,8 +3,10 @@
 Everything here is pure.  Likelihood arithmetic runs in log space via
 log-gamma: pair counts reach 1e5 at desk scale and raw Beta-function values
 underflow long before that.  The sampler's Beta-Bernoulli evidence lives here
-and nowhere else: ``log_evidence_delta`` for path moves and the complete
-log-likelihood, ``level_log_likelihood`` for level-indicator moves.  So does
+and nowhere else: ``log_evidence_terms`` is the one elementwise evidence term
+(per sibling pair and predicate), which the path scorer sums per sibling pair
+and ``log_evidence_delta`` sums in full for the complete log-likelihood;
+``level_log_likelihood`` serves level-indicator moves.  So does
 its level model: ``level_prior`` (the predictive a level move draws from) and
 ``level_log_marginal`` (the indicators' term of the complete log-likelihood).
 """
@@ -25,13 +27,12 @@ __all__ = [
     "Hyperparameters",
     "log_beta_fn",
     "beta_posterior",
+    "log_evidence_terms",
     "log_evidence_delta",
     "path_log_likelihood_delta",
     "level_log_likelihood",
     "level_prior",
     "level_log_marginal",
-    "stick_level_prior",
-    "dirichlet_level_prior",
     "ncrp_path_prior",
 ]
 
@@ -127,15 +128,20 @@ def beta_posterior(ones: int, zeros: int, lam: float, eta: float) -> tuple[float
     return (ones + lam, zeros + eta)
 
 
-def log_evidence_delta(b1, b0, c1, c0, lam: float, eta: float) -> float:
-    """Log marginal-likelihood change from adding counts (c1, c0) to (b1, b0).
+def log_evidence_terms(b1, b0, c1, c0, lam: float, eta: float) -> np.ndarray:
+    """Elementwise log marginal-likelihood change from adding counts (c1, c0) to (b1, b0).
 
     The arguments are broadcast arrays of one- and zero-counts, one entry per
-    sibling pair and predicate; the result sums log B(b1+c1+lam, b0+c0+eta) -
-    log B(b1+lam, b0+eta) over them.  With b = 0 it is the collapsed evidence
-    of the counts c themselves.
+    sibling pair and predicate; each entry of the result is
+    log B(b1+c1+lam, b0+c0+eta) - log B(b1+lam, b0+eta).  With b = 0 it is the
+    collapsed evidence of the counts c themselves.
     """
-    return float(np.sum(betaln(b1 + c1 + lam, b0 + c0 + eta) - betaln(b1 + lam, b0 + eta)))
+    return betaln(b1 + c1 + lam, b0 + c0 + eta) - betaln(b1 + lam, b0 + eta)
+
+
+def log_evidence_delta(b1, b0, c1, c0, lam: float, eta: float) -> float:
+    """The sum of :func:`log_evidence_terms` over every entry."""
+    return float(np.sum(log_evidence_terms(b1, b0, c1, c0, lam, eta)))
 
 
 def path_log_likelihood_delta(
@@ -174,7 +180,11 @@ def level_log_likelihood(g: Sequence[int], ones: Sequence[int], n: int, lam: flo
 
 
 def _stick_level_weights(hist: Sequence[int], mu: float, sigma: float) -> list[float]:
-    """Unvalidated fast path for :func:`stick_level_prior`; returns a plain list."""
+    """Posterior-predictive level weights under the stick-breaking prior.
+
+    ``hist[l-1]`` counts indicators at level ``l``; the infinite predictive is
+    truncated to ``len(hist)`` levels and renormalized.  Unvalidated.
+    """
     depth = len(hist)
     ms = mu * sigma
     rs = (1.0 - mu) * sigma
@@ -192,34 +202,6 @@ def _stick_level_weights(hist: Sequence[int], mu: float, sigma: float) -> list[f
         carry *= (rs + m_l) / denom
     total = sum(raw)
     return [w / total for w in raw]
-
-
-def stick_level_prior(hist: Sequence[int], mu: float, sigma: float) -> np.ndarray:
-    """Posterior-predictive level distribution under the stick-breaking prior.
-
-    ``hist[l-1]`` counts indicators at level ``l`` among the conditioning set
-    (the indicator being resampled excluded).  The infinite predictive is
-    truncated to ``len(hist)`` levels and renormalized.
-    """
-    if not 0 < mu < 1 or sigma <= 0:
-        raise ValueError("mu must lie in (0,1) and sigma must be > 0")
-    if len(hist) < 1:
-        raise ValueError("histogram must cover at least one level")
-    if any(h < 0 for h in hist):
-        raise ValueError("histogram counts must be >= 0")
-    return np.asarray(_stick_level_weights(hist, mu, sigma))
-
-
-def dirichlet_level_prior(hist: Sequence[int], alpha: Sequence[float]) -> np.ndarray:
-    """Posterior-predictive level distribution under a finite Dirichlet prior."""
-    if len(hist) != len(alpha):
-        raise ValueError("histogram and alpha must align")
-    if any(a <= 0 for a in alpha):
-        raise ValueError("alpha entries must be > 0")
-    if any(h < 0 for h in hist):
-        raise ValueError("histogram counts must be >= 0")
-    post = np.asarray(alpha, dtype=np.float64) + np.asarray(hist, dtype=np.float64)
-    return post / post.sum()
 
 
 def level_prior(hist: Sequence[int], hyper: Hyperparameters) -> list[float]:

@@ -297,6 +297,46 @@ class TestPathMove:
         assert state.trace == twin.trace
 
 
+def enumerated_path_conditional(kg, hyper, paths, Z, i, specs):
+    """Normalised joint over the candidate specs for entity i, new communities given unused ids."""
+    lls = []
+    for spec in specs:
+        fresh = iter(range(10**6, 10**6 + len(spec)))
+        trial = list(paths)
+        trial[i] = tuple(next(fresh) if c is None else c for c in spec)
+        lls.append(joint_log_likelihood(kg, hyper, trial, Z))
+    lls = np.array(lls)
+    want = np.exp(lls - lls.max())
+    return want / want.sum()
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(2, 7),
+    n_pred=st.integers(1, 3),
+    depth=st.integers(1, 4),
+    density=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+    sweeps=st.integers(0, 2),
+    seed=st.integers(0, 999),
+)
+def test_path_conditional_matches_enumeration_at_depth(n, n_pred, depth, density, sweeps, seed):
+    # deep trees and shared leaves reach every routing case of the path scorer,
+    # the same-leaf pairs with unequal indicators included
+    kg = random_kg(n, n_pred, density, seed)
+    hyper = hyper_with(depth=depth)
+    state = init_state(kg, hyper, np.random.default_rng(seed))
+    deg = degree_table(kg)
+    for _ in range(sweeps):
+        gibbs_iteration(state, deg)
+    paths = [tuple(int(c) for c in row) for row in state.P]
+    for i in range(n):
+        specs, got = path_conditional(state, i)
+        minus = [p for k, p in enumerate(paths) if k != i]
+        assert set(specs) == oracle_path_candidates(minus, depth)
+        want = enumerated_path_conditional(kg, hyper, paths, state.Z, i, specs)
+        assert np.max(np.abs(got - want)) < 1e-9
+
+
 class TestGibbsIteration:
     def test_full_sampling_probability_touches_everything(self):
         from hiersbm.kgraph import DegreeTable

@@ -10,12 +10,11 @@ from hiersbm.stats import (
     Hyperparameters,
     Schedule,
     beta_posterior,
-    dirichlet_level_prior,
     level_log_likelihood,
+    level_prior,
     log_beta_fn,
     ncrp_path_prior,
     path_log_likelihood_delta,
-    stick_level_prior,
 )
 
 GRID = np.linspace(0.0, 1.0, 10001)
@@ -170,38 +169,49 @@ class TestLevelLikelihood:
             assert 0 < got <= 1
 
 
+def stick_prior(hist, mu, sigma):
+    hyper = Hyperparameters(gamma=1.0, mu=mu, sigma=sigma, lam=1.0, eta=1.0, depth=len(hist))
+    return np.asarray(level_prior(hist, hyper))
+
+
+def dirichlet_prior(hist, alpha):
+    hyper = Hyperparameters(
+        gamma=1.0, mu=0.5, sigma=1.0, lam=1.0, eta=1.0, depth=len(hist),
+        level_prior_mode="dirichlet", alpha=tuple(alpha),
+    )
+    return np.asarray(level_prior(hist, hyper))
+
+
 class TestStickLevelPrior:
     def test_zero_counts_geometric(self):
-        out = stick_level_prior([0, 0, 0, 0], 0.25, 2.0)
+        out = stick_prior([0, 0, 0, 0], 0.25, 2.0)
         raw = np.array([0.25 * 0.75**k for k in range(4)])
         assert np.allclose(out, raw / raw.sum(), atol=1e-12)
 
     def test_symmetric_zero_counts_values(self):
-        out = stick_level_prior([0, 0, 0], 0.5, 1.0)
+        out = stick_prior([0, 0, 0], 0.5, 1.0)
         assert np.allclose(out, [4 / 7, 2 / 7, 1 / 7], atol=1e-12)
 
     def test_concentrates_on_heavy_level(self):
-        out = stick_level_prior([0, 1000, 0], 0.5, 1.0)
+        out = stick_prior([0, 1000, 0], 0.5, 1.0)
         assert out[1] > 0.99
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            stick_level_prior([0, 0], 0.0, 1.0)
-        with pytest.raises(ValueError):
-            stick_level_prior([0, -1], 0.5, 1.0)
+            Hyperparameters(gamma=1.0, mu=0.0, sigma=1.0, lam=1.0, eta=1.0, depth=2).validate()
 
 
 class TestDirichletLevelPrior:
     def test_uniform_on_zero_counts(self):
-        out = dirichlet_level_prior([0, 0, 0], [1.0, 1.0, 1.0])
+        out = dirichlet_prior([0, 0, 0], [1.0, 1.0, 1.0])
         assert np.allclose(out, 1 / 3)
 
     def test_counts_shift(self):
-        out = dirichlet_level_prior([2, 0], [1.0, 1.0])
+        out = dirichlet_prior([2, 0], [1.0, 1.0])
         assert np.allclose(out, [3 / 4, 1 / 4])
 
     def test_large_count_dominates(self):
-        out = dirichlet_level_prior([10000, 0, 0], [0.5, 0.5, 0.5])
+        out = dirichlet_prior([10000, 0, 0], [0.5, 0.5, 0.5])
         assert out[0] > 0.999
 
 
@@ -212,8 +222,8 @@ class TestDirichletLevelPrior:
     sigma=st.floats(min_value=0.1, max_value=10.0),
 )
 def test_level_priors_positive_and_normalized(hist, mu, sigma):
-    stick = stick_level_prior(hist, mu, sigma)
-    diri = dirichlet_level_prior(hist, [sigma] * len(hist))
+    stick = stick_prior(hist, mu, sigma)
+    diri = dirichlet_prior(hist, [sigma] * len(hist))
     for vec in (stick, diri):
         assert np.all(vec > 0)
         assert abs(vec.sum() - 1.0) < 1e-12
