@@ -1,10 +1,10 @@
 """Command-line interface: dataset generation, fitting, evaluation, rendering.
 
 Subcommands: ``gen-sbt``, ``fit``, ``eval``, ``render``, ``relations``.
-Exit codes: 0 on success, 1 on usage, configuration or output-path errors,
-2 on data errors (unparseable or empty inputs, universe mismatches).  Every
-command is reproducible byte-for-byte under a fixed seed; there is no
-wall-clock seeding anywhere.
+Exit codes: 0 on success, 1 on usage, configuration or output-path errors and
+on a failed chain, 2 on data errors (unparseable or empty inputs, universe
+mismatches).  Every command is reproducible byte-for-byte under a fixed seed;
+there is no wall-clock seeding anywhere.
 """
 
 from __future__ import annotations
@@ -188,15 +188,10 @@ def cmd_gen_sbt(args) -> int:
 
 
 def _fit_chains(kg, hyper: Hyperparameters, output_dir: FsPath) -> list[str]:
-    """Run every chain in turn, write its artifacts and return their file names."""
+    """Run the chains, write their artifacts in chain order and return their file names."""
     output_dir.mkdir(parents=True, exist_ok=True)
-    sched = hyper.schedule
     outputs = []
-    for chain in range(sched.chains):
-        chain_hyper = dataclasses.replace(
-            hyper, schedule=dataclasses.replace(sched, chains=1, seed=sched.seed + chain)
-        )
-        samples, trace = sampler.run(kg, chain_hyper)
+    for chain, (samples, trace) in enumerate(sampler.run_chains(kg, hyper)):
         trace_path = output_dir / f"trace_chain{chain}.csv"
         sampler.write_trace_csv(trace, trace_path)
         outputs.append(trace_path.name)
@@ -231,6 +226,9 @@ def cmd_fit(args) -> int:
         outputs = _fit_chains(kg, hyper, output_dir)
     except OSError as exc:
         print(f"error: cannot write to {output_dir}: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except sampler.ChainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     manifest = {
         "config": resolved,

@@ -29,7 +29,8 @@ state, so the state they are given is never written.
 
 One chain owns one state exclusively; the full conditionals are sequential,
 so there is no intra-chain parallelism.  Independent chains differ only in
-their seeds; ``hiersbm fit`` runs them one after another.
+their seeds; ``run_chains`` runs them in parallel worker processes and returns
+their results in chain order.
 """
 
 from __future__ import annotations
@@ -37,7 +38,11 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass, field
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass, field, replace
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -61,6 +66,9 @@ __all__ = [
     "gibbs_iteration",
     "complete_log_likelihood",
     "run",
+    "run_chains",
+    "ChainError",
+    "usable_cpus",
     "take_sample",
     "aggregate",
     "recover_community_relations",
@@ -520,6 +528,70 @@ def run(kg: KnowledgeGraph, hyper: Hyperparameters) -> tuple[list[PosteriorSampl
         if done > 0 and done % sched.lag == 0 and len(samples) < sched.final_samples:
             samples.append(take_sample(state))
     return samples, state.trace
+
+
+class ChainError(RuntimeError):
+    """A chain of ``run_chains`` raised, or the worker process running it died."""
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_chain(job: tuple[KnowledgeGraph, Hyperparameters]) -> tuple[list[PosteriorSample], Trace]:
+    """``run`` on one job; a worker unpickles this by name and looks ``run`` up in its own module."""
+    return run(*job)
+
+
+def _in_chain_order(results) -> list[tuple[list[PosteriorSample], Trace]]:
+    out = []
+    try:
+        for result in results:
+            out.append(result)
+    except BrokenProcessPool as exc:
+        raise ChainError(f"a worker process died before chain {len(out)} returned") from exc
+    except Exception as exc:
+        raise ChainError(f"chain {len(out)} failed: {type(exc).__name__}: {exc}") from exc
+    return out
+
+
+def run_chains(
+    kg: KnowledgeGraph, hyper: Hyperparameters, workers: int | None = None
+) -> list[tuple[list[PosteriorSample], Trace]]:
+    """Run ``schedule.chains`` independent chains and return their results in chain order.
+
+    Chain k is ``run`` with schedule seed ``seed + k`` and ``chains=1``, so
+    its samples and trace do not depend on ``workers``, which defaults to
+    ``usable_cpus()`` and is capped at the number of chains.  With more than
+    one worker the chains run in a process pool that ends with the call; it
+    forks where the platform can, so the workers need not import numpy and
+    scipy again.  One worker runs the same per-chain function in this
+    process.  A chain that raises, or a worker that dies, ends the call with
+    ``ChainError``; chains not yet started are cancelled, and the call returns
+    once the running ones have ended.
+    """
+    hyper.validate()
+    if hyper.schedule is None:
+        raise ValueError("hyperparameters must carry a schedule")
+    sched = hyper.schedule
+    jobs = [
+        (kg, replace(hyper, schedule=replace(sched, chains=1, seed=sched.seed + k)))
+        for k in range(sched.chains)
+    ]
+    workers = min(sched.chains, usable_cpus() if workers is None else workers)
+    if workers <= 1:
+        return _in_chain_order(map(_run_chain, jobs))
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context("fork" if fork else None)
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        try:
+            return _in_chain_order(pool.map(_run_chain, jobs))
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def take_sample(state: SamplerState) -> PosteriorSample:

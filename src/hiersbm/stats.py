@@ -249,22 +249,25 @@ def ncrp_path_prior(h: Hierarchy, gamma: float) -> dict[PathSpec, float]:
     Candidates are all existing full paths plus a "branch new" option beneath
     the root and every internal community.  A fresh branch continues to the
     bottom with probability one (a new community has no competing children),
-    so the returned probabilities sum to one.
+    so the returned probabilities sum to one.  One depth-first walk looks up
+    each community once.
     """
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
     depth = h.depth
+    node = h.node
     out: dict[PathSpec, float] = {}
 
-    def descend(node_id: int, prefix: tuple, prob: float) -> None:
+    def descend(community, prefix: tuple, prob: float) -> None:
         level = len(prefix)
         if level == depth:
             out[prefix] = prob
             return
-        denom = h.pass_count(node_id) + gamma
-        for child in h.children_of(node_id):
-            descend(child, prefix + (child,), prob * h.pass_count(child) / denom)
+        denom = community.pass_count + gamma
+        for cid in community.children:
+            child = node(cid)
+            descend(child, prefix + (cid,), prob * child.pass_count / denom)
         out[prefix + (None,) * (depth - level)] = prob * gamma / denom
 
-    descend(ROOT_ID, (), 1.0)
+    descend(node(ROOT_ID), (), 1.0)
     return out

@@ -27,7 +27,7 @@ from hiersbm.sampler import (
     level_conditional,
     path_conditional,
     predicted_edge_probabilities,
-    run,
+    run_chains,
 )
 from hiersbm.stats import (
     Hyperparameters,
@@ -228,14 +228,13 @@ def reduced_fit():
     kg, truth = synth.generate_sbt(
         REDUCED["depth"], REDUCED["per_leaf"], REDUCED["probs"], REDUCED["predicates"], rng
     )
+    hyper = Hyperparameters(
+        depth=REDUCED["depth"],
+        schedule=Schedule(iterations=100, burn_in=70, lag=3, final_samples=10, chains=N_CHAINS, seed=0),
+        **FIT,
+    )
     chains = []
-    for seed in range(N_CHAINS):
-        hyper = Hyperparameters(
-            depth=REDUCED["depth"],
-            schedule=Schedule(iterations=100, burn_in=70, lag=3, final_samples=10, seed=seed),
-            **FIT,
-        )
-        samples, trace = run(kg, hyper)
+    for samples, trace in run_chains(kg, hyper):
         point, consensus = aggregate(samples)
         chains.append({"trace": trace, "samples": samples, "point": point, "consensus": consensus})
     return kg, truth, chains
@@ -465,13 +464,12 @@ def test_full_benchmark_reproduction():
     rng = np.random.default_rng(7)
     kg, truth = synth.generate_sbt(4, 25, [0.0, 0.1, 0.4, 0.6], 2, rng)
     leaf_truth = truth.level(4)
+    hyper = Hyperparameters(
+        gamma=3.0, mu=0.5, sigma=1.0, lam=1.0, eta=1.0, depth=4,
+        schedule=Schedule(iterations=230, burn_in=200, lag=3, final_samples=10, chains=3, seed=0),
+    )
     aris, nmis = [], []
-    for seed in range(3):
-        hyper = Hyperparameters(
-            gamma=3.0, mu=0.5, sigma=1.0, lam=1.0, eta=1.0, depth=4,
-            schedule=Schedule(iterations=230, burn_in=200, lag=3, final_samples=10, seed=seed),
-        )
-        samples, _ = run(kg, hyper)
+    for samples, _ in run_chains(kg, hyper):
         point, _ = aggregate(samples)
         predicted = metrics.clusters_at_level(point, 4)
         reference = {e: leaf_truth[e] for e in predicted}

@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -43,6 +45,7 @@ def fit_dir(tmp_path, sbt_dir):
 def assert_one_line_error(capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "error: " in err, err
+    return err
 
 
 class TestGenSbt:
@@ -141,6 +144,29 @@ class TestFit:
         assert manifest["chain_seeds"] == [100, 101, 102]
         for chain in range(3):
             assert (tmp_path / "multi" / f"trace_chain{chain}.csv").exists()
+
+    def test_failing_chain_ends_in_one_line(self, tmp_path, sbt_dir, monkeypatch, capsys):
+        def fail(kg, hyper):
+            raise RuntimeError("no convergence")
+
+        monkeypatch.setattr(sampler, "run", fail)
+        cfg = write_config(tmp_path, sbt_dir / "triples.tsv", tmp_path / "fit")
+        assert run_cli("fit", cfg, "--chains", 2) == 1
+        err = assert_one_line_error(capsys)
+        assert "chain 0 failed: RuntimeError: no convergence" in err
+        assert multiprocessing.active_children() == []
+
+    def test_dying_worker_ends_in_one_line(self, tmp_path, sbt_dir, monkeypatch, capsys):
+        def die(kg, hyper):
+            os._exit(3)
+
+        monkeypatch.setattr(sampler, "usable_cpus", lambda: 2)  # two workers, so no chain runs here
+        monkeypatch.setattr(sampler, "run", die)
+        cfg = write_config(tmp_path, sbt_dir / "triples.tsv", tmp_path / "fit")
+        assert run_cli("fit", cfg, "--chains", 3) == 1
+        err = assert_one_line_error(capsys)
+        assert "worker process died" in err
+        assert multiprocessing.active_children() == []
 
     def test_unparseable_input_data_error(self, tmp_path):
         bad = tmp_path / "bad.tsv"

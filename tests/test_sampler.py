@@ -1,5 +1,6 @@
 import copy
 import math
+import multiprocessing
 import time
 
 import numpy as np
@@ -527,6 +528,32 @@ class TestRunAndAggregate:
         assert t1 == t2
         assert [s.paths for s in s1] == [s.paths for s in s2]
         assert [s.levels for s in s1] == [s.levels for s in s2]
+
+    def test_run_chains_same_for_any_worker_count(self):
+        kg = random_kg(6, 2, 0.4, 5)
+        h = hyper_with(depth=3, schedule=self._schedule(chains=3, seed=20))
+        serial = sampler.run_chains(kg, h, workers=1)
+        pooled = sampler.run_chains(kg, h, workers=2)
+        assert len(serial) == len(pooled) == 3
+        for chain, ((s1, t1), (s2, t2)) in enumerate(zip(serial, pooled)):
+            assert t1 == t2
+            assert t1 == run(kg, hyper_with(depth=3, schedule=self._schedule(seed=20 + chain)))[1]
+            assert [s.paths for s in s1] == [s.paths for s in s2]
+            assert [s.tree for s in s1] == [s.tree for s in s2]
+            for a, b in zip(s1, s2):
+                assert np.array_equal(a.indicators, b.indicators)
+        assert serial[0][1] != serial[1][1]  # each chain has its own seed
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_chains_names_failed_chain(self, monkeypatch, workers):
+        def fail(kg, hyper):
+            raise RuntimeError(f"seed {hyper.schedule.seed} failed")
+
+        monkeypatch.setattr(sampler, "run", fail)
+        kg = random_kg(4, 1, 0.5, 6)
+        with pytest.raises(sampler.ChainError, match=r"chain 0 failed: RuntimeError: seed 3 failed"):
+            sampler.run_chains(kg, hyper_with(schedule=self._schedule(chains=2)), workers=workers)
+        assert multiprocessing.active_children() == []
 
     def test_aggregate_single_sample(self):
         kg = random_kg(4, 1, 0.5, 3)
