@@ -188,7 +188,7 @@ def cmd_gen_sbt(args) -> int:
 
 
 def _fit_chains(kg, hyper: Hyperparameters, output_dir: FsPath) -> list[str]:
-    """Run the chains, write their artifacts in chain order and return their file names."""
+    """Write each chain's artifacts as ``run_chains`` yields it, in chain order; return their file names."""
     output_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     for chain, (samples, trace) in enumerate(sampler.run_chains(kg, hyper)):

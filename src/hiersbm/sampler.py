@@ -29,7 +29,7 @@ state, so the state they are given is never written.
 
 One chain owns one state exclusively; the full conditionals are sequential,
 so there is no intra-chain parallelism.  Independent chains differ only in
-their seeds; ``run_chains`` runs them in parallel worker processes and returns
+their seeds; ``run_chains`` runs them in parallel worker processes and yields
 their results in chain order.
 """
 
@@ -40,6 +40,7 @@ import json
 import math
 import multiprocessing
 import os
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
@@ -68,7 +69,6 @@ __all__ = [
     "run",
     "run_chains",
     "ChainError",
-    "usable_cpus",
     "take_sample",
     "aggregate",
     "recover_community_relations",
@@ -546,32 +546,39 @@ def _run_chain(job: tuple[KnowledgeGraph, Hyperparameters]) -> tuple[list[Poster
     return run(*job)
 
 
-def _in_chain_order(results) -> list[tuple[list[PosteriorSample], Trace]]:
-    out = []
+def _in_chain_order(results) -> Iterator[tuple[list[PosteriorSample], Trace]]:
+    chain = 0
     try:
         for result in results:
-            out.append(result)
+            yield result
+            chain += 1
     except BrokenProcessPool as exc:
-        raise ChainError(f"a worker process died before chain {len(out)} returned") from exc
+        raise ChainError(f"a worker process died before chain {chain} returned") from exc
     except Exception as exc:
-        raise ChainError(f"chain {len(out)} failed: {type(exc).__name__}: {exc}") from exc
-    return out
+        raise ChainError(f"chain {chain} failed: {type(exc).__name__}: {exc}") from exc
 
 
-def run_chains(
-    kg: KnowledgeGraph, hyper: Hyperparameters, workers: int | None = None
-) -> list[tuple[list[PosteriorSample], Trace]]:
-    """Run ``schedule.chains`` independent chains and return their results in chain order.
+def _pooled(jobs, workers: int) -> Iterator[tuple[list[PosteriorSample], Trace]]:
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context("fork" if fork else None)
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        yield from _in_chain_order(pool.map(_run_chain, jobs))
+
+
+def run_chains(kg: KnowledgeGraph, hyper: Hyperparameters) -> Iterator[tuple[list[PosteriorSample], Trace]]:
+    """Run ``schedule.chains`` independent chains and yield their results in chain order.
 
     Chain k is ``run`` with schedule seed ``seed + k`` and ``chains=1``, so
-    its samples and trace do not depend on ``workers``, which defaults to
-    ``usable_cpus()`` and is capped at the number of chains.  With more than
-    one worker the chains run in a process pool that ends with the call; it
-    forks where the platform can, so the workers need not import numpy and
-    scipy again.  One worker runs the same per-chain function in this
-    process.  A chain that raises, or a worker that dies, ends the call with
-    ``ChainError``; chains not yet started are cancelled, and the call returns
-    once the running ones have ended.
+    its samples and trace do not depend on how many workers run the chains:
+    ``usable_cpus()``, capped at the number of chains.  With more than one
+    worker the chains run in a process pool that ends with the iteration;
+    it forks where the platform can, so the workers need not import numpy
+    and scipy again.  One worker runs the same per-chain function in this
+    process.  Each result is yielded once it and every chain before it have
+    ended.  A chain that raises, or a worker that dies, ends the iteration
+    with ``ChainError`` at that chain's turn; the pool cancels only the
+    chains it has not yet queued for a worker (it queues up to workers + 1
+    at once) and waits for the rest to end before the error leaves it.
     """
     hyper.validate()
     if hyper.schedule is None:
@@ -581,17 +588,10 @@ def run_chains(
         (kg, replace(hyper, schedule=replace(sched, chains=1, seed=sched.seed + k)))
         for k in range(sched.chains)
     ]
-    workers = min(sched.chains, usable_cpus() if workers is None else workers)
+    workers = min(sched.chains, usable_cpus())
     if workers <= 1:
         return _in_chain_order(map(_run_chain, jobs))
-    fork = "fork" in multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context("fork" if fork else None)
-    with ProcessPoolExecutor(workers, mp_context=context) as pool:
-        try:
-            return _in_chain_order(pool.map(_run_chain, jobs))
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    return _pooled(jobs, workers)
 
 
 def take_sample(state: SamplerState) -> PosteriorSample:

@@ -529,11 +529,13 @@ class TestRunAndAggregate:
         assert [s.paths for s in s1] == [s.paths for s in s2]
         assert [s.levels for s in s1] == [s.levels for s in s2]
 
-    def test_run_chains_same_for_any_worker_count(self):
+    def test_run_chains_same_for_any_worker_count(self, monkeypatch):
         kg = random_kg(6, 2, 0.4, 5)
         h = hyper_with(depth=3, schedule=self._schedule(chains=3, seed=20))
-        serial = sampler.run_chains(kg, h, workers=1)
-        pooled = sampler.run_chains(kg, h, workers=2)
+        monkeypatch.setattr(sampler, "usable_cpus", lambda: 1)
+        serial = list(sampler.run_chains(kg, h))
+        monkeypatch.setattr(sampler, "usable_cpus", lambda: 2)
+        pooled = list(sampler.run_chains(kg, h))
         assert len(serial) == len(pooled) == 3
         for chain, ((s1, t1), (s2, t2)) in enumerate(zip(serial, pooled)):
             assert t1 == t2
@@ -544,15 +546,16 @@ class TestRunAndAggregate:
                 assert np.array_equal(a.indicators, b.indicators)
         assert serial[0][1] != serial[1][1]  # each chain has its own seed
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_run_chains_names_failed_chain(self, monkeypatch, workers):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_run_chains_names_failed_chain(self, monkeypatch, cpus):
         def fail(kg, hyper):
             raise RuntimeError(f"seed {hyper.schedule.seed} failed")
 
+        monkeypatch.setattr(sampler, "usable_cpus", lambda: cpus)
         monkeypatch.setattr(sampler, "run", fail)
         kg = random_kg(4, 1, 0.5, 6)
         with pytest.raises(sampler.ChainError, match=r"chain 0 failed: RuntimeError: seed 3 failed"):
-            sampler.run_chains(kg, hyper_with(schedule=self._schedule(chains=2)), workers=workers)
+            list(sampler.run_chains(kg, hyper_with(schedule=self._schedule(chains=2))))
         assert multiprocessing.active_children() == []
 
     def test_aggregate_single_sample(self):
