@@ -6,14 +6,21 @@ statistics are one count row per occupied sibling pair of communities,
 routed there, then the one-count of each predicate among them), and one pooled
 level-indicator histogram ``ghist``, which the level prior reads.  Each
 entity's level mode is worked out from the indicators when a sample is taken.
-Every move removes the affected contributions, scores candidates against the
-remainder with the collapsed formulas and the level model in ``stats``, then
-reinstates the chosen configuration; ``audit_counts`` compares the incremental
-statistics against a from-scratch recount.  Candidate scoring runs in log
-space with log-sum-exp normalization, since candidate likelihood spreads
-exceed float range on dense graphs.
+Every move scores its candidates with the collapsed formulas and the level
+model in ``stats``, against the counts with the moved contributions left out,
+and then writes the chosen configuration; ``audit_counts`` compares the
+incremental statistics against a from-scratch recount.  Candidate scoring runs
+in log space with log-sum-exp normalization, since candidate likelihood
+spreads exceed float range on dense graphs.
 
-A path move scores all of its candidates in one pass over the tree.  Under a
+A level move only reads the counts while it scores: it leaves the pair and
+the indicator out in the arithmetic and scores one predictive likelihood per
+distinct sibling key among the L levels (in most moves every level routes the
+pair to one key).  It writes the pair's counts only when the drawn level
+routes the pair to another key.
+
+A path move removes the entity's pairs and path, then scores all of its
+candidates in one pass over the tree, then adds the chosen path.  Under a
 candidate path, each of the entity's pairs lands on a sibling key of one node
 of that path or on the node's diagonal key, so the collapsed evidence is a sum
 of per-node terms (the sibling keys a node shares with the other children of
@@ -24,8 +31,9 @@ a new branch below community p scores p's path sum plus one sibling term for
 the children of p it would join.
 
 ``level_conditional`` and ``path_conditional`` return a move's exact
-conditional without making the move: they remove and score on a copy of the
-state, so the state they are given is never written.
+conditional without making the move, so the state they are given is never
+written: the level probe runs the level move's read-only scorer, and the path
+probe removes and scores on a copy of the state.
 
 One chain owns one state exclusively; the full conditionals are sequential,
 so there is no intra-chain parallelism.  Independent chains differ only in
@@ -74,7 +82,6 @@ __all__ = [
     "recover_community_relations",
     "relations_from_sample",
     "predicted_edge_probabilities",
-    "entity_level_mode",
     "audit_counts",
     "write_trace_csv",
     "write_sample_json",
@@ -142,6 +149,12 @@ class SamplerState:
         self._route_table = [
             [list(zip(*rows)) for rows in zip(*planes)] for planes in zip(ls.tolist(), lr.tolist())
         ]
+        # _level_table[direction][d][other indicator] -> (distinct routes, route index per level)
+        levels = range(1, self.L + 1)
+        self._level_table = [
+            [[_by_route([table[l][o] for l in levels]) for o in range(self.L + 1)] for table in self._route_table],
+            [[_by_route([table[o][l] for l in levels]) for o in range(self.L + 1)] for table in self._route_table],
+        ]
 
         # Indicators i.i.d. from the zero-count level prior.
         cum = np.cumsum(stats.level_prior([0] * self.L, hyper))
@@ -179,9 +192,10 @@ class SamplerState:
 
     # -- incremental counts ----------------------------------------------
 
-    def _pair_apply(self, x: int, y: int, sign: int) -> None:
-        """Add or remove the (x, y) pair's counts at its current route."""
-        key = self._route(x, y, int(self.Z[x, y, SENDER]), int(self.Z[x, y, RECEIVER]))
+    def _pair_apply(self, x: int, y: int, sign: int, key: tuple[int, int] | None = None) -> None:
+        """Add or remove the (x, y) pair's counts at ``key``, by default its current route."""
+        if key is None:
+            key = self._route(x, y, int(self.Z[x, y, SENDER]), int(self.Z[x, y, RECEIVER]))
         row = self.rel.get(key)
         if row is None:
             row = self.rel[key] = [0] * (self.R + 1)
@@ -213,23 +227,38 @@ class SamplerState:
 
     # -- conditional distributions ----------------------------------------
 
-    def _remove_indicator_and_score(self, i: int, j: int, direction: int) -> list[float]:
-        """Remove pair (i, j) and one of its indicators from the counts; return log weights over levels."""
-        zi = int(self.Z[i, j, SENDER])
-        zj = int(self.Z[i, j, RECEIVER])
-        self._pair_apply(i, j, -1)
-        self.ghist[zj if direction else zi] -= 1
-        prior = stats.level_prior(self.ghist[1:], self.hyper)
+    def _score_levels(self, i: int, j: int, direction: int) -> tuple[list[float], list[tuple], list[int]]:
+        """Score levels 1..L of one indicator of pair (i, j) without writing the state.
+
+        Returns the log weights, the distinct sibling keys the levels route the
+        pair to, and each level's index among those keys.  The pair's own row
+        and the indicator's histogram entry are left out in the arithmetic:
+        the pair's current key scores ``n - 1`` pairs and ``ones - g`` ones.
+        Levels that share a key share one ``level_log_likelihood`` call.
+        """
+        zs, zr = self.Z[i, j].tolist()
+        cur, other = (zr, zs) if direction else (zs, zr)
+        routes, key_of = self._level_table[direction][self.D[i, j]][other]
+        own = key_of[cur - 1]
+        hist = self.ghist[1:]
+        hist[cur - 1] -= 1
+        prior = stats.level_prior(hist, self.hyper)
         lam, eta = self.hyper.lam, self.hyper.eta
         start = (i * self.E + j) * self.R
         g = self._g[start : start + self.R]  # one predicate value per byte
+        Pi, Pj = self.P[i].tolist(), self.P[j].tolist()
         empty = [0] * (self.R + 1)
-        logw = [0.0] * self.L
-        for l in range(1, self.L + 1):
-            key = self._route(i, j, l, zj) if direction == SENDER else self._route(i, j, zi, l)
-            row = self.rel.get(key, empty)
-            logw[l - 1] = math.log(prior[l - 1]) + stats.level_log_likelihood(g, row[1:], row[0], lam, eta)
-        return logw
+        keys, lls = [], []
+        for k, (ls, lr) in enumerate(routes):
+            key = (Pi[ls - 1], Pj[lr - 1])
+            n, *ones = self.rel.get(key, empty)
+            if k == own:
+                n -= 1
+                ones = [c - v for c, v in zip(ones, g)]
+            keys.append(key)
+            lls.append(stats.level_log_likelihood(g, ones, n, lam, eta))
+        log = math.log
+        return [log(p) + lls[k] for p, k in zip(prior, key_of)], keys, key_of
 
     def _remove_entity_and_score(self, i: int) -> tuple[list[PathSpec], np.ndarray]:
         """Remove entity i's pairs and path; return every candidate path and its log weight.
@@ -361,6 +390,12 @@ def _routed_counts(P: np.ndarray, Z: np.ndarray, G: np.ndarray):
     return pairs, index, ones, totals
 
 
+def _by_route(routes: list) -> tuple[list, list[int]]:
+    """The distinct entries of ``routes`` in first-appearance order, and each entry's index among them."""
+    distinct = list(dict.fromkeys(routes))
+    return distinct, [distinct.index(r) for r in routes]
+
+
 def _sum_rows(index: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
     """Sum the rows of ``rows`` into ``size`` bins by ``index``."""
     out = np.zeros((size, rows.shape[-1]))
@@ -391,21 +426,27 @@ def init_state(kg: KnowledgeGraph, hyper: Hyperparameters, rng: np.random.Genera
 def sample_level_indicator(state: SamplerState, i: int, j: int, direction: int) -> None:
     """Resample one level indicator of the ordered pair (i, j) in place.
 
-    ``direction`` 0 resamples the sender's level, 1 the receiver's.  The
-    indicator's pair contribution and histogram entry are removed, a level is
-    drawn from prior times predictive likelihood, and counts are reinstated.
+    ``direction`` 0 resamples the sender's level, 1 the receiver's.  A level
+    is drawn from prior times predictive likelihood, both read with the
+    indicator and its pair left out of the counts.  The pair's counts are
+    written only when the drawn level routes it to another sibling key.
     """
     if state.L == 1:
         return
-    logw = state._remove_indicator_and_score(i, j, direction)
+    logw, keys, key_of = state._score_levels(i, j, direction)
     new = _categorical_from_logs(state.rng, logw) + 1
+    old = int(state.Z[i, j, direction])
     state.Z[i, j, direction] = new
+    state.ghist[old] -= 1
     state.ghist[new] += 1
-    state._pair_apply(i, j, +1)
-
-
-def _probe_copy(state: SamplerState) -> SamplerState:
-    return copy.deepcopy(state, {id(state.kg): state.kg})  # the graph is never written
+    was, now = keys[key_of[old - 1]], keys[key_of[new - 1]]
+    if now != was:
+        state._pair_apply(i, j, -1, was)
+        state._pair_apply(i, j, +1, now)
+    elif state.rel[was][0] == 1:
+        # a removal and a re-insertion would have moved the row to the end,
+        # and complete_log_likelihood sums the rows in order
+        state.rel[was] = state.rel.pop(was)
 
 
 def _normalized(logw) -> np.ndarray:
@@ -416,12 +457,12 @@ def _normalized(logw) -> np.ndarray:
 def level_conditional(state: SamplerState, i: int, j: int, direction: int) -> np.ndarray:
     """Exact conditional distribution of one indicator, over levels 1..L.
 
-    The indicator is removed and its levels scored on a copy of the state, as
-    ``sample_level_indicator`` would; the state passed in is never written.
+    The levels are scored as ``sample_level_indicator`` scores them, which
+    writes nothing, so the state passed in is never written.
     """
     if state.L == 1:
         return np.ones(1)
-    return _normalized(_probe_copy(state)._remove_indicator_and_score(i, j, direction))
+    return _normalized(state._score_levels(i, j, direction)[0])
 
 
 def sample_path(state: SamplerState, i: int) -> None:
@@ -447,7 +488,8 @@ def path_conditional(state: SamplerState, i: int) -> tuple[list[PathSpec], np.nd
     ``sample_path`` would, so the specs name the copy's tree after pruning;
     the state passed in is never written.
     """
-    specs, logw = _probe_copy(state)._remove_entity_and_score(i)
+    probe = copy.deepcopy(state, {id(state.kg): state.kg})  # the graph is never written
+    specs, logw = probe._remove_entity_and_score(i)
     return specs, _normalized(logw)
 
 
@@ -460,15 +502,16 @@ def gibbs_iteration(state: SamplerState, degrees: DegreeTable) -> None:
     """
     E = state.E
     s = degrees.sampling_prob
-    gates = state.rng.random((E, E, 2))
-    for i in range(E):
-        s_i = s[i]
-        gate_row = gates[i]
-        for j in range(E):
-            if gate_row[j, 0] < s_i:
-                sample_level_indicator(state, i, j, SENDER)
-            if gate_row[j, 1] < s[j]:
-                sample_level_indicator(state, i, j, RECEIVER)
+    gates = state.rng.random((E, E, 2))  # drawn at any depth, so depth 1 keeps the RNG stream
+    if state.L > 1:  # a single level leaves no indicator to move
+        for i in range(E):
+            s_i = s[i]
+            gate_row = gates[i]
+            for j in range(E):
+                if gate_row[j, 0] < s_i:
+                    sample_level_indicator(state, i, j, SENDER)
+                if gate_row[j, 1] < s[j]:
+                    sample_level_indicator(state, i, j, RECEIVER)
     path_gates = state.rng.random(E)
     for i in range(E):
         if path_gates[i] < s[i]:
@@ -650,11 +693,6 @@ def _level_modes(Z: np.ndarray, L: int) -> list[int]:
     bins = (own[:, :, None] + Z, own.T[:, :, None] + Z, own + Z[idx, idx])
     row, col, diag = (np.bincount(b.ravel(), minlength=E * L1) for b in bins)
     return ((row + col - diag).reshape(E, L1)[:, 1:].argmax(axis=1) + 1).tolist()
-
-
-def entity_level_mode(state: SamplerState, i: int) -> int:
-    """Mode of entity i's incident level indicators, ties toward the shallower level."""
-    return _level_modes(state.Z, state.L)[i]
 
 
 def audit_counts(state: SamplerState) -> AuditReport:

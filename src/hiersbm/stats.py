@@ -6,8 +6,9 @@ underflow long before that.  The sampler's Beta-Bernoulli evidence lives here
 and nowhere else: ``log_evidence_terms`` is the one elementwise evidence term
 (per sibling pair and predicate), which the path scorer sums per sibling pair
 and ``log_evidence_delta`` sums in full for the complete log-likelihood;
-``level_log_likelihood`` serves level-indicator moves.  So does
-its level model: ``level_prior`` (the predictive a level move draws from) and
+``level_log_likelihood`` serves level-indicator moves, once per distinct
+sibling key that the candidate levels route the pair to.  So does its level
+model: ``level_prior`` (the predictive a level move draws from) and
 ``level_log_marginal`` (the indicators' term of the complete log-likelihood).
 """
 
@@ -169,7 +170,8 @@ def level_log_likelihood(g: Sequence[int], ones: Sequence[int], n: int, lam: flo
     itself excluded).  This is the gamma-free form of the collapsed
     Beta-Bernoulli ratio: each predicate contributes (ones+lam)/(n+lam+eta)
     for a one and (n-ones+eta)/(n+lam+eta) for a zero.  Unvalidated: the
-    level move calls it once per candidate level.
+    level move calls it once per distinct sibling key among its candidate
+    levels.
     """
     log = math.log
     zeros_eta = n + eta
@@ -185,21 +187,16 @@ def _stick_level_weights(hist: Sequence[int], mu: float, sigma: float) -> list[f
     ``hist[l-1]`` counts indicators at level ``l``; the infinite predictive is
     truncated to ``len(hist)`` levels and renormalized.  Unvalidated.
     """
-    depth = len(hist)
     ms = mu * sigma
     rs = (1.0 - mu) * sigma
-    deeper = [0] * depth  # deeper[l-1] = number of indicators strictly below level l
-    acc = 0
-    for l in range(depth - 1, -1, -1):
-        deeper[l] = acc
-        acc += hist[l]
-    raw = [0.0] * depth
+    below = sum(hist)
+    raw = []
     carry = 1.0
-    for l in range(depth):
-        n_l, m_l = hist[l], deeper[l]
-        denom = sigma + n_l + m_l
-        raw[l] = carry * (ms + n_l) / denom
-        carry *= (rs + m_l) / denom
+    for n_l in hist:
+        below -= n_l  # indicators strictly below level l
+        denom = sigma + n_l + below
+        raw.append(carry * (ms + n_l) / denom)
+        carry *= (rs + below) / denom
     total = sum(raw)
     return [w / total for w in raw]
 

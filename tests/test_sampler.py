@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hiersbm import sampler, synth
 from hiersbm.hierarchy import coarsen
@@ -14,7 +14,6 @@ from hiersbm.sampler import (
     aggregate,
     audit_counts,
     complete_log_likelihood,
-    entity_level_mode,
     gibbs_iteration,
     init_state,
     level_conditional,
@@ -205,6 +204,22 @@ class TestLevelIndicatorMove:
         want /= want.sum()
         assert np.max(np.abs(got - want)) < 1e-9
 
+    def test_counts_match_a_removal_then_a_re_addition(self):
+        # complete_log_likelihood sums the rows of rel in order, so fixed-seed
+        # traces depend on the order as well as the counts
+        kg = random_kg(6, 2, 0.5, 2)
+        state = init_state(kg, hyper_with(depth=3), np.random.default_rng(2))
+        for i in range(6):
+            for j in range(6):
+                for d in (0, 1):
+                    twin = copy.deepcopy(state, {id(kg): kg})
+                    sample_level_indicator(state, i, j, d)
+                    twin._pair_apply(i, j, -1)
+                    twin.Z[i, j, d] = state.Z[i, j, d]
+                    twin._pair_apply(i, j, +1)
+                    assert list(state.rel.items()) == list(twin.rel.items())
+        assert audit_counts(state).ok
+
     def test_empirical_frequencies_match_conditional(self):
         kg = random_kg(2, 1, 0.7, 4)
         state = init_state(kg, hyper_with(depth=2), np.random.default_rng(6))
@@ -338,6 +353,48 @@ def test_path_conditional_matches_enumeration_at_depth(n, n_pred, depth, density
         assert np.max(np.abs(got - want)) < 1e-9
 
 
+def enumerated_level_conditional(kg, hyper, paths, Z, i, j, d):
+    """Normalised joint over the levels of indicator d of pair (i, j)."""
+    lls = []
+    for l in range(1, hyper.depth + 1):
+        trial = Z.copy()
+        trial[i, j, d] = l
+        lls.append(joint_log_likelihood(kg, hyper, paths, trial))
+    lls = np.array(lls)
+    want = np.exp(lls - lls.max())
+    return want / want.sum()
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(2, 5),
+    n_pred=st.integers(1, 3),
+    depth=st.integers(1, 4),
+    density=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+    sweeps=st.integers(0, 2),
+    seed=st.integers(0, 999),
+    dirichlet=st.booleans(),
+)
+@example(n=4, n_pred=2, depth=4, density=0.7, sweeps=2, seed=3, dirichlet=True)
+def test_level_conditional_matches_enumeration_at_depth(n, n_pred, depth, density, sweeps, seed, dirichlet):
+    # same-leaf pairs route their L levels to up to L distinct keys, the
+    # pair's own key among them
+    kg = random_kg(n, n_pred, density, seed)
+    mode = dict(level_prior_mode="dirichlet", alpha=tuple(0.5 + 0.3 * l for l in range(depth))) if dirichlet else {}
+    hyper = hyper_with(depth=depth, **mode)
+    state = init_state(kg, hyper, np.random.default_rng(seed))
+    deg = degree_table(kg)
+    for _ in range(sweeps):
+        gibbs_iteration(state, deg)
+    paths = [tuple(int(c) for c in row) for row in state.P]
+    for i in range(n):
+        for j in range(n):
+            for d in (0, 1):
+                got = level_conditional(state, i, j, d)
+                want = enumerated_level_conditional(kg, hyper, paths, state.Z, i, j, d)
+                assert np.max(np.abs(got - want)) < 1e-9
+
+
 class TestGibbsIteration:
     def test_full_sampling_probability_touches_everything(self):
         from hiersbm.kgraph import DegreeTable
@@ -350,6 +407,23 @@ class TestGibbsIteration:
         assert np.all(state.path_resamples - before == 1)
         assert state.iteration == 1
         assert len(state.trace) == 1
+
+    def test_single_level_draws_the_gates_and_moves_no_indicator(self, monkeypatch):
+        from hiersbm.kgraph import DegreeTable
+
+        kg = random_kg(4, 1, 0.5, 3)
+        state = init_state(kg, hyper_with(depth=1), np.random.default_rng(3))
+        deg = DegreeTable(degree=np.zeros(4, dtype=np.int64), sampling_prob=np.ones(4))
+        moves = []
+        monkeypatch.setattr(sampler, "sample_level_indicator", lambda *args: moves.append(args))
+        twin = copy.deepcopy(state.rng)
+        gibbs_iteration(state, deg)
+        assert moves == []
+        # the stream still holds the 2E² indicator gates, then E path gates and one draw per path move
+        twin.random((4, 4, 2))
+        twin.random(4)
+        twin.random(4)
+        assert twin.bit_generator.state == state.rng.bit_generator.state
 
     def test_resample_frequency_proportional_to_probability(self):
         kg = KnowledgeGraph(
@@ -628,14 +702,14 @@ class TestReadouts:
             n, *ones = state.rel[(a, b)]
             assert value == pytest.approx((ones[r] + 1) / (n + 2))
 
-    def test_entity_level_mode(self):
+    def test_sample_level_is_indicator_mode(self):
         kg = random_kg(1, 1, 1.0, 0)
         state = init_state(kg, hyper_with(depth=2), np.random.default_rng(1))
         state.Z[:] = 2
-        assert entity_level_mode(state, 0) == 2
+        assert take_sample(state).levels == [2]
         # ties break toward the shallower level
         state.Z[0, 0, 0] = 1
-        assert entity_level_mode(state, 0) == 1
+        assert take_sample(state).levels == [1]
 
 
 class TestPersistence:
