@@ -161,10 +161,6 @@ def cmd_gen_sbt(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    out = args.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    save_triples(kg, out / "triples.tsv")
-    synth.save_ground_truth(truth, out / "truth.tsv")
     manifest = {
         "generator": "sbt",
         "parameters": {
@@ -182,7 +178,15 @@ def cmd_gen_sbt(args) -> int:
         },
         "version": __version__,
     }
-    _write_json(manifest, out / "manifest.json")
+    out = args.out_dir
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        save_triples(kg, out / "triples.tsv")
+        synth.save_ground_truth(truth, out / "truth.tsv")
+        _write_json(manifest, out / "manifest.json")
+    except OSError as exc:
+        print(f"error: cannot write to {out}: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     print(f"wrote {len(kg.triples)} triples over {kg.num_entities} entities to {out}")
     return 0
 

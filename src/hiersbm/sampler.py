@@ -10,25 +10,31 @@ Every move scores its candidates with the collapsed formulas and the level
 model in ``stats``, against the counts with the moved contributions left out,
 and then writes the chosen configuration; ``audit_counts`` compares the
 incremental statistics against a from-scratch recount.  Candidate scoring runs
-in log space with log-sum-exp normalization, since candidate likelihood
-spreads exceed float range on dense graphs.
+in log space, and the log weights are shifted so that the largest is 0 before
+they are exponentiated, since candidate likelihood spreads exceed float range
+on dense graphs.
 
-A level move only reads the counts while it scores: it leaves the pair and
-the indicator out in the arithmetic and scores one predictive likelihood per
-distinct sibling key among the L levels (in most moves every level routes the
-pair to one key).  It writes the pair's counts only when the drawn level
-routes the pair to another key.
+A level move only reads the counts while it scores, and weighs the L levels
+by linear weights that one categorical draw reads.  In most moves every level
+routes the pair to one sibling key; the predictive likelihood is then the
+same at every level and cancels, so the move draws from the level prior
+alone, with the indicator left out of the histogram.  Otherwise it leaves the
+pair and the indicator out in the arithmetic and scores one predictive
+likelihood per distinct key.  It writes the pair's counts only when the drawn
+level routes the pair to another key.
 
 A path move removes the entity's pairs and path, then scores all of its
-candidates in one pass over the tree, then adds the chosen path.  Under a
-candidate path, each of the entity's pairs lands on a sibling key of one node
-of that path or on the node's diagonal key, so the collapsed evidence is a sum
-of per-node terms (the sibling keys a node shares with the other children of
-its parent, and its diagonal key), computed once per move in one batched
-``stats.log_evidence_terms`` call.  An existing leaf scores the sum along its
-path, corrected at the diagonal keys that other entities on that leaf reach;
-a new branch below community p scores p's path sum plus one sibling term for
-the children of p it would join.
+candidates in one pass over the tree, then adds the chosen path.  Removing
+and adding the pairs is one batched pass each: the entity's 2E - 1 pairs are
+routed together and summed per sibling key, and ``rel`` is updated once per
+key.  Under a candidate path, each of the entity's pairs lands on a sibling
+key of one node of that path or on the node's diagonal key, so the collapsed
+evidence is a sum of per-node terms (the sibling keys a node shares with the
+other children of its parent, and its diagonal key), computed once per move
+in one batched ``stats.log_evidence_terms`` call.  An existing leaf scores
+the sum along its path, corrected at the diagonal keys that other entities on
+that leaf reach; a new branch below community p scores p's path sum plus one
+sibling term for the children of p it would join.
 
 ``level_conditional`` and ``path_conditional`` return a move's exact
 conditional without making the move, so the state they are given is never
@@ -55,7 +61,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path as FsPath
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import stats, synth
 from .hierarchy import ROOT_ID, Hierarchy, Path, PathSpec, divergence_levels, route_levels, route_pairs
@@ -210,10 +215,36 @@ class SamplerState:
             del self.rel[key]
 
     def _entity_pairs_apply(self, i: int, sign: int) -> None:
-        for j in range(self.E):
-            self._pair_apply(i, j, sign)
-            if j != i:
-                self._pair_apply(j, i, sign)
+        """Add or remove the counts of entity i's pairs: row i and column i, the self pair once.
+
+        One batched pass routes the 2E - 1 pairs and sums their ``[1, g...]``
+        rows per sibling key, then updates ``rel`` once per key, in the order
+        a loop over (i, 0), (0, i), (i, 1), (1, i), ... first meets the keys.
+        A removal only deletes rows and an addition only appends them, so
+        ``rel`` keeps the rows and the order that per-pair updates in that
+        loop would leave (``complete_log_likelihood`` sums the rows in order).
+        """
+        E, R = self.E, self.R
+        x = np.full(2 * E, i)
+        y = np.full(2 * E, i)
+        x[1::2] = y[0::2] = np.arange(E)
+        x, y = np.delete(x, 2 * i + 1), np.delete(y, 2 * i + 1)  # the self pair once
+        ls, lr = route_levels(self.Z[x, y, SENDER], self.Z[x, y, RECEIVER], self.D[x, y], self.L)
+        a, b = self.P[x, ls - 1], self.P[y, lr - 1]
+        keys, first, at = np.unique(a * (int(b.max()) + 1) + b, return_index=True, return_inverse=True)
+        cell = np.flatnonzero(self.G[x, y])  # the pairs' ones, pair-major
+        ones = np.bincount(at[cell // R] * R + cell % R, minlength=len(keys) * R).reshape(-1, R)
+        counts = sign * np.column_stack([np.bincount(at, minlength=len(keys)), ones])
+        order = np.argsort(first)
+        rel = self.rel
+        for key, delta in zip(zip(a[first[order]].tolist(), b[first[order]].tolist()), counts[order].tolist()):
+            row = rel.get(key)
+            if row is None:
+                rel[key] = delta
+            elif row[0] + delta[0]:
+                rel[key] = [c + v for c, v in zip(row, delta)]
+            else:
+                del rel[key]
 
     # -- from-scratch recounts (init and audits) ---------------------------
 
@@ -227,38 +258,43 @@ class SamplerState:
 
     # -- conditional distributions ----------------------------------------
 
-    def _score_levels(self, i: int, j: int, direction: int) -> tuple[list[float], list[tuple], list[int]]:
-        """Score levels 1..L of one indicator of pair (i, j) without writing the state.
+    def _level_weights(self, i: int, j: int, direction: int) -> tuple[list[float], list[tuple], list[int]]:
+        """Weigh levels 1..L of one indicator of pair (i, j) without writing the state.
 
-        Returns the log weights, the distinct sibling keys the levels route the
-        pair to, and each level's index among those keys.  The pair's own row
-        and the indicator's histogram entry are left out in the arithmetic:
-        the pair's current key scores ``n - 1`` pairs and ``ones - g`` ones.
-        Levels that share a key share one ``level_log_likelihood`` call.
+        Returns unnormalised linear weights, the distinct sibling keys the
+        levels route the pair to, and each level's index among those keys.
+        The indicator's histogram entry is left out of the level prior.  When
+        every level routes the pair to one key, the predictive likelihood is
+        the same at every level and cancels, so the weights are the prior
+        alone.  Otherwise each key scores one ``level_log_likelihood`` with
+        the pair's own row left out in the arithmetic (its current key scores
+        ``n - 1`` pairs and ``ones - g`` ones), and the weights are the
+        exponentiated log weights, shifted so that the largest is 1.
         """
-        zs, zr = self.Z[i, j].tolist()
-        cur, other = (zr, zs) if direction else (zs, zr)
-        routes, key_of = self._level_table[direction][self.D[i, j]][other]
-        own = key_of[cur - 1]
+        Z = self.Z
+        cur, other = Z.item(i, j, direction), Z.item(i, j, 1 - direction)
+        routes, key_of = self._level_table[direction][self.D.item(i, j)][other]
         hist = self.ghist[1:]
         hist[cur - 1] -= 1
         prior = stats.level_prior(hist, self.hyper)
+        P = self.P
+        keys = [(P.item(i, ls - 1), P.item(j, lr - 1)) for ls, lr in routes]
+        if len(keys) == 1:
+            return prior, keys, key_of
+        own = key_of[cur - 1]
         lam, eta = self.hyper.lam, self.hyper.eta
         start = (i * self.E + j) * self.R
         g = self._g[start : start + self.R]  # one predicate value per byte
-        Pi, Pj = self.P[i].tolist(), self.P[j].tolist()
         empty = [0] * (self.R + 1)
-        keys, lls = [], []
-        for k, (ls, lr) in enumerate(routes):
-            key = (Pi[ls - 1], Pj[lr - 1])
+        lls = []
+        for k, key in enumerate(keys):
             n, *ones = self.rel.get(key, empty)
             if k == own:
                 n -= 1
                 ones = [c - v for c, v in zip(ones, g)]
-            keys.append(key)
             lls.append(stats.level_log_likelihood(g, ones, n, lam, eta))
         log = math.log
-        return [log(p) + lls[k] for p, k in zip(prior, key_of)], keys, key_of
+        return _weights_from_logs([log(p) + lls[k] for p, k in zip(prior, key_of)]), keys, key_of
 
     def _remove_entity_and_score(self, i: int) -> tuple[list[PathSpec], np.ndarray]:
         """Remove entity i's pairs and path; return every candidate path and its log weight.
@@ -403,9 +439,14 @@ def _sum_rows(index: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def _categorical_from_logs(rng: np.random.Generator, logw) -> int:
+def _weights_from_logs(logw) -> list[float]:
+    """Linear weights proportional to ``exp(logw)``, the largest exactly 1."""
     m = max(logw)
-    w = [math.exp(v - m) for v in logw]
+    return [math.exp(v - m) for v in logw]
+
+
+def _categorical(rng: np.random.Generator, w) -> int:
+    """Draw an index with probability proportional to the non-negative weights ``w``."""
     u = rng.random() * sum(w)
     acc = 0.0
     for k, v in enumerate(w):
@@ -428,14 +469,16 @@ def sample_level_indicator(state: SamplerState, i: int, j: int, direction: int) 
 
     ``direction`` 0 resamples the sender's level, 1 the receiver's.  A level
     is drawn from prior times predictive likelihood, both read with the
-    indicator and its pair left out of the counts.  The pair's counts are
-    written only when the drawn level routes it to another sibling key.
+    indicator and its pair left out of the counts; when every level routes
+    the pair to one sibling key the likelihood cancels and the prior alone is
+    drawn from.  The pair's counts are written only when the drawn level
+    routes it to another sibling key.
     """
     if state.L == 1:
         return
-    logw, keys, key_of = state._score_levels(i, j, direction)
-    new = _categorical_from_logs(state.rng, logw) + 1
-    old = int(state.Z[i, j, direction])
+    w, keys, key_of = state._level_weights(i, j, direction)
+    new = _categorical(state.rng, w) + 1
+    old = state.Z.item(i, j, direction)
     state.Z[i, j, direction] = new
     state.ghist[old] -= 1
     state.ghist[new] += 1
@@ -449,8 +492,8 @@ def sample_level_indicator(state: SamplerState, i: int, j: int, direction: int) 
         state.rel[was] = state.rel.pop(was)
 
 
-def _normalized(logw) -> np.ndarray:
-    w = np.exp(np.asarray(logw) - logsumexp(logw))
+def _normalized(w) -> np.ndarray:
+    w = np.asarray(w)
     return w / w.sum()
 
 
@@ -462,7 +505,7 @@ def level_conditional(state: SamplerState, i: int, j: int, direction: int) -> np
     """
     if state.L == 1:
         return np.ones(1)
-    return _normalized(state._score_levels(i, j, direction)[0])
+    return _normalized(state._level_weights(i, j, direction)[0])
 
 
 def sample_path(state: SamplerState, i: int) -> None:
@@ -474,7 +517,7 @@ def sample_path(state: SamplerState, i: int) -> None:
     with fresh ids for any new branch.
     """
     specs, logw = state._remove_entity_and_score(i)
-    choice = _categorical_from_logs(state.rng, logw)
+    choice = _categorical(state.rng, _weights_from_logs(logw))
     state.P[i] = state.h.add_path(specs[choice])
     state._refresh_divergence_row(i)
     state._entity_pairs_apply(i, +1)
@@ -490,7 +533,7 @@ def path_conditional(state: SamplerState, i: int) -> tuple[list[PathSpec], np.nd
     """
     probe = copy.deepcopy(state, {id(state.kg): state.kg})  # the graph is never written
     specs, logw = probe._remove_entity_and_score(i)
-    return specs, _normalized(logw)
+    return specs, _normalized(_weights_from_logs(logw))
 
 
 def gibbs_iteration(state: SamplerState, degrees: DegreeTable) -> None:

@@ -6,9 +6,10 @@ underflow long before that.  The sampler's Beta-Bernoulli evidence lives here
 and nowhere else: ``log_evidence_terms`` is the one elementwise evidence term
 (per sibling pair and predicate), which the path scorer sums per sibling pair
 and ``log_evidence_delta`` sums in full for the complete log-likelihood;
-``level_log_likelihood`` serves level-indicator moves, once per distinct
-sibling key that the candidate levels route the pair to.  So does its level
-model: ``level_prior`` (the predictive a level move draws from) and
+``level_log_likelihood`` serves level-indicator moves whose candidate levels
+route the pair to two or more sibling keys, once per key; a move whose levels
+all reach one key draws from the level prior alone.  The level model lives
+here too: ``level_prior`` (the predictive every level move draws from) and
 ``level_log_marginal`` (the indicators' term of the complete log-likelihood).
 """
 
@@ -171,7 +172,8 @@ def level_log_likelihood(g: Sequence[int], ones: Sequence[int], n: int, lam: flo
     Beta-Bernoulli ratio: each predicate contributes (ones+lam)/(n+lam+eta)
     for a one and (n-ones+eta)/(n+lam+eta) for a zero.  Unvalidated: the
     level move calls it once per distinct sibling key among its candidate
-    levels.
+    levels, and only when there are two or more such keys (with one, the
+    likelihood is the same at every level and cancels).
     """
     log = math.log
     zeros_eta = n + eta

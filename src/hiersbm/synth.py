@@ -223,7 +223,7 @@ def generate_sbt(
     probs = np.asarray(level_probs, dtype=np.float64)
     if probs.shape != (depth,):
         raise ValueError(f"level_probs must have {depth} entries, got {probs.shape}")
-    if np.any((probs < 0) | (probs > 1)):
+    if not np.all((probs >= 0) & (probs <= 1)):  # NaN fails both comparisons
         raise ValueError("level_probs entries must lie in [0, 1]")
 
     leaves = 2 ** depth

@@ -86,6 +86,21 @@ class TestGenSbt:
         assert run_cli("gen-sbt", "--depth", 3, "--per-leaf", 2, "--probs", 0.1,
                        "--out-dir", tmp_path / "x") == 1
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_probs_rejected(self, tmp_path, capsys, bad):
+        out = tmp_path / "x"
+        assert run_cli("gen-sbt", "--depth", 2, "--per-leaf", 2, "--probs", bad, 0.2,
+                       "--out-dir", out) == 1
+        assert "level_probs" in assert_one_line_error(capsys)
+        assert not out.exists()
+
+    def test_out_dir_below_a_file(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("", encoding="utf-8")
+        assert run_cli("gen-sbt", "--depth", 2, "--per-leaf", 2, "--probs", 0.1, 0.4,
+                       "--out-dir", afile / "sub") == 1
+        assert_one_line_error(capsys)
+
 
 class TestFit:
     def test_outputs_present(self, fit_dir):

@@ -204,6 +204,9 @@ class TestGenerateSbt:
             generate_sbt(3, 5, [0.1, 0.2], 2, rng)
         with pytest.raises(ValueError):
             generate_sbt(3, 5, [0.1, 0.2, 1.5], 2, rng)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="level_probs"):
+                generate_sbt(2, 2, [bad, 0.2], 1, rng)
 
 
 def test_ground_truth_round_trip(tmp_path):
