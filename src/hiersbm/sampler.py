@@ -14,6 +14,9 @@ in log space, and the log weights are shifted so that the largest is 0 before
 they are exponentiated, since candidate likelihood spreads exceed float range
 on dense graphs.
 
+A sweep's level pass finds the open gates with one array comparison, in
+(i, j, direction) order, and draws all their uniforms in one call (the same
+numbers as one draw per move); one level-move body then runs per open gate.
 A level move only reads the counts while it scores, and weighs the L levels
 by linear weights that one categorical draw reads.  In most moves every level
 routes the pair to one sibling key; the predictive likelihood is then the
@@ -24,17 +27,22 @@ likelihood per distinct key.  It writes the pair's counts only when the drawn
 level routes the pair to another key.
 
 A path move removes the entity's pairs and path, then scores all of its
-candidates in one pass over the tree, then adds the chosen path.  Removing
-and adding the pairs is one batched pass each: the entity's 2E - 1 pairs are
-routed together and summed per sibling key, and ``rel`` is updated once per
-key.  Under a candidate path, each of the entity's pairs lands on a sibling
-key of one node of that path or on the node's diagonal key, so the collapsed
-evidence is a sum of per-node terms (the sibling keys a node shares with the
-other children of its parent, and its diagonal key), computed once per move
-in one batched ``stats.log_evidence_terms`` call.  An existing leaf scores
-the sum along its path, corrected at the diagonal keys that other entities on
-that leaf reach; a new branch below community p scores p's path sum plus one
-sibling term for the children of p it would join.
+candidates in one pass over the tree, as arrays, then adds the chosen path.
+Removing and adding the pairs is one batched pass each: the entity's 2E - 1
+pairs are routed together and summed per sibling key, and ``rel`` is updated
+once per key.  Under a candidate path, each of the entity's pairs lands on a
+sibling key of one node of that path or on the node's diagonal key, so the
+collapsed evidence is a sum of per-node terms (the sibling keys a node shares
+with the other children of its parent, and its diagonal key), computed once
+per move in one batched ``stats.log_evidence_terms`` call.  The log nCRP
+prior is a sum of per-node terms too, from the pass counts.  An existing leaf
+scores the sum along its path, corrected at the diagonal keys that other
+entities on that leaf reach; a new branch below community p scores p's path
+sum plus one sibling term for the children of p it would join.  The
+candidates are ordered as a depth-first walk of the tree (children by
+ascending id, a community's new branch after its children) by one sort of
+their padded paths, and one uniform picks among them; only the chosen
+candidate becomes a path spec.
 
 ``level_conditional`` and ``path_conditional`` return a move's exact
 conditional without making the move, so the state they are given is never
@@ -58,12 +66,13 @@ from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path as FsPath
 
 import numpy as np
 
 from . import stats, synth
-from .hierarchy import ROOT_ID, Hierarchy, Path, PathSpec, divergence_levels, route_levels, route_pairs
+from .hierarchy import Hierarchy, Path, PathSpec, divergence_levels, route_levels, route_pairs
 from .kgraph import DegreeTable, KnowledgeGraph, degree_table
 from .stats import Hyperparameters
 
@@ -98,6 +107,7 @@ Trace = list  # list of (iteration, complete log-likelihood) pairs
 
 SENDER = 0
 RECEIVER = 1
+NEW = np.iinfo(np.int64).max  # a path move's candidate row holds this where it branches new
 
 
 @dataclass(frozen=True)
@@ -258,29 +268,31 @@ class SamplerState:
 
     # -- conditional distributions ----------------------------------------
 
-    def _level_weights(self, i: int, j: int, direction: int) -> tuple[list[float], list[tuple], list[int]]:
+    def _level_weights(self, i: int, j: int, direction: int) -> tuple[list[float], list[tuple], list[int], int]:
         """Weigh levels 1..L of one indicator of pair (i, j) without writing the state.
 
         Returns unnormalised linear weights, the distinct sibling keys the
-        levels route the pair to, and each level's index among those keys.
+        levels route the pair to, each level's index among those keys, and
+        the indicator's current level.
         The indicator's histogram entry is left out of the level prior.  When
         every level routes the pair to one key, the predictive likelihood is
         the same at every level and cancels, so the weights are the prior
-        alone.  Otherwise each key scores one ``level_log_likelihood`` with
-        the pair's own row left out in the arithmetic (its current key scores
-        ``n - 1`` pairs and ``ones - g`` ones), and the weights are the
-        exponentiated log weights, shifted so that the largest is 1.
+        alone, and only the one key is built.  Otherwise each key scores one
+        ``level_log_likelihood`` with the pair's own row left out in the
+        arithmetic (its current key scores ``n - 1`` pairs and ``ones - g``
+        ones), and the weights are the exponentiated log weights, shifted so
+        that the largest is 1.
         """
-        Z = self.Z
+        Z, P = self.Z, self.P
         cur, other = Z.item(i, j, direction), Z.item(i, j, 1 - direction)
         routes, key_of = self._level_table[direction][self.D.item(i, j)][other]
         hist = self.ghist[1:]
         hist[cur - 1] -= 1
         prior = stats.level_prior(hist, self.hyper)
-        P = self.P
+        if len(routes) == 1:
+            ls, lr = routes[0]
+            return prior, [(P.item(i, ls - 1), P.item(j, lr - 1))], key_of, cur
         keys = [(P.item(i, ls - 1), P.item(j, lr - 1)) for ls, lr in routes]
-        if len(keys) == 1:
-            return prior, keys, key_of
         own = key_of[cur - 1]
         lam, eta = self.hyper.lam, self.hyper.eta
         start = (i * self.E + j) * self.R
@@ -294,36 +306,26 @@ class SamplerState:
                 ones = [c - v for c, v in zip(ones, g)]
             lls.append(stats.level_log_likelihood(g, ones, n, lam, eta))
         log = math.log
-        return _weights_from_logs([log(p) + lls[k] for p, k in zip(prior, key_of)]), keys, key_of
+        return _weights_from_logs([log(p) + lls[k] for p, k in zip(prior, key_of)]), keys, key_of, cur
 
-    def _remove_entity_and_score(self, i: int) -> tuple[list[PathSpec], np.ndarray]:
+    def _remove_entity_and_score(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Remove entity i's pairs and path; return every candidate path and its log weight.
 
-        Removing the path prunes emptied communities.  The candidates are the
-        specs of ``ncrp_path_prior``, in its order; each log weight is the log
-        prior plus the collapsed evidence of all of the entity's interactions
-        (both directions, all predicates, the self pair once) routed under the
-        candidate at the current indicators.  That evidence is a sum of
-        per-node terms along the candidate path (``_path_node_scores``): an
-        existing leaf scores its path sum, and a new branch below community p
-        scores p's path sum plus one term for the siblings it would join.
+        Removing the path prunes emptied communities.  Each candidate is a row
+        of community ids, ``NEW`` from the level where it branches new; the
+        rows come in the order of a depth-first walk of the tree, children by
+        ascending id and a community's new branch after its children.  Each
+        log weight is the log nCRP prior plus the collapsed evidence of all of
+        the entity's interactions (both directions, all predicates, the self
+        pair once) routed under the candidate at the current indicators; see
+        ``_path_node_scores``.
         """
         self._entity_pairs_apply(i, -1)
         self.h.remove_path(tuple(int(c) for c in self.P[i]))
-        prior = stats.ncrp_path_prior(self.h, self.hyper.gamma)
-        leaf_score, new_score = self._path_node_scores(i)
-        logw = np.empty(len(prior))
-        for k, (spec, p) in enumerate(prior.items()):
-            if spec[-1] is not None:
-                score = leaf_score[spec[-1]]
-            else:
-                branch = spec.index(None)
-                score = new_score[spec[branch - 1] if branch else ROOT_ID]
-            logw[k] = math.log(p) + score
-        return list(prior), logw
+        return self._path_node_scores(i)
 
-    def _path_node_scores(self, i: int) -> tuple[dict[int, float], dict[int, float]]:
-        """Collapsed evidence of entity i's pairs under every candidate path, from per-node sums.
+    def _path_node_scores(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Candidate paths of entity i and their log weights, from per-node sums along each path.
 
         Entity i is out of the counts and the tree.  Take a candidate path c
         and another entity j whose path leaves c at level d (L+1 on a shared
@@ -333,11 +335,11 @@ class SamplerState:
         at m = min(zs, zr); pair (j, i) routes alike to (P[j]_d, c_d).  The
         self pair goes to (c_m, c_m).  No two of these keys coincide, so the
         evidence is one term per node of c: the sibling keys it shares with
-        the other children of its parent, and its diagonal key.
-
-        Returns two dicts by community id: the score of the community as an
-        existing leaf (read for leaves only), and the score of a new branch
-        below it, the root included.
+        the other children of its parent, and its diagonal key.  The log nCRP
+        prior is a sum along c too: log n_x / (n_parent + gamma) per node x,
+        from the other entities' pass counts, and log gamma / (n_p + gamma)
+        where c branches new below community p.  Prefix sums down the tree
+        then score every existing leaf and every new branch at once.
         """
         L, R = self.L, self.R
         others = np.flatnonzero(np.arange(self.E) != i)
@@ -350,13 +352,13 @@ class SamplerState:
         parent[Q[:, 1:]] = Q[:, :-1]
 
         # rows [1, g_0, ..., g_{R-1}] of pairs (i, j) and (j, i), j in others, and of the self pair
-        W = np.ones((2, len(others), R + 1))
+        W = np.ones((2, len(others), R + 1), dtype=np.int64)
         W[0, :, 1:] = self.G[i, others]
         W[1, :, 1:] = self.G[others, i]
         zs = np.stack([self.Z[i, others, SENDER], self.Z[others, i, SENDER]])
         zr = np.stack([self.Z[i, others, RECEIVER], self.Z[others, i, RECEIVER]])
         eq = zs == zr
-        own = np.ones((1, R + 1))
+        own = np.ones((1, R + 1), dtype=np.int64)
         own[0, 1:] = self.G[i, i]
         m = int(self.Z[i, i].min())
 
@@ -390,24 +392,37 @@ class SamplerState:
         empty = [0] * (R + 1)
         rel = self.rel
         pair_keys = zip(nodes[a].tolist(), nodes[b].tolist())
-        pair_base = np.array([rel.get(k, empty) for k in pair_keys], dtype=np.float64).reshape(-1, R + 1)
-        diag_base = np.array([rel.get((x, x), empty) for x in ids], dtype=np.float64).reshape(-1, R + 1)
-        base = np.concatenate([pair_base, pair_base, diag_base, np.zeros((2 * N + 1, R + 1)), diag_base[fix_node]])
+        pair_base = _rows([rel.get(k, empty) for k in pair_keys], R + 1)
+        diag_base = _rows([rel.get((x, x), empty) for x in ids], R + 1)
+        no_counts = np.zeros((2 * N + 1, R + 1), dtype=np.int64)  # a new branch's keys hold none
+        base = np.concatenate([pair_base, pair_base, diag_base, no_counts, diag_base[fix_node]])
         added = np.concatenate([S[0, b], S[1, a], diag_rows, S[0], S[1], own, fix_rows])
-        b1, c1 = base[:, 1:], added[:, 1:]
-        t = stats.log_evidence_terms(b1, base[:, :1] - b1, c1, added[:, :1] - c1, self.hyper.lam, self.hyper.eta)
-        out_ab, in_ab, diag, new_out, new_in, new_own, fixed = np.split(
-            t.sum(axis=-1), np.cumsum([len(a), len(a), N, N, N, 1])
-        )
+        t = stats.log_evidence_terms(base, added, self.hyper.lam, self.hyper.eta)
+        out_ab, in_ab, diag, new_out, new_in, new_own, fixed = np.split(t, np.cumsum([len(a), len(a), N, N, N, 1]))
 
         # (a, b) serves candidate node a against sibling b's pairs (i, j),
         # and candidate node b against sibling a's pairs (j, i)
         node_term = np.bincount(a, out_ab, N) + np.bincount(b, in_ab, N) + diag
+        # nCRP prior: pass counts of the other entities, the root's at index N
+        npass = np.append(np.bincount(Q.ravel(), minlength=N), len(others))
+        log_denom = np.log(npass + self.hyper.gamma)
+        node_term += np.log(npass[:N]) - log_denom[parent]
         prefix = np.zeros(N + 1)
         prefix[Q] = np.cumsum(node_term[Q], axis=1)
         leaf_score = prefix[:N] + np.bincount(fix_leaf, fixed - diag[fix_node], N)
         new_score = prefix + np.bincount(parent, new_out + new_in, N + 1) + np.where(level < m, new_own, 0.0)
-        return dict(zip(ids, leaf_score.tolist())), dict(zip(ids + [ROOT_ID], new_score.tolist()))
+        new_score += math.log(self.hyper.gamma) - log_denom
+
+        # candidates: every leaf, and a new branch below the root and below every
+        # community above the leaves; row x of ``prefix_ids`` is x's path, then NEW
+        through = np.empty(N, dtype=np.int64)  # an entity whose path passes x
+        through[Q] = np.arange(len(others))[:, None]
+        prefix_ids = np.full((N + 1, L), NEW)
+        prefix_ids[:N] = np.where(np.arange(L) < level[:N, None], nodes[Q[through]], NEW)
+        leaves, inner = np.flatnonzero(level == L), np.flatnonzero(level < L)
+        paths = prefix_ids[np.concatenate([leaves, inner])]
+        walk = np.lexsort(paths.T[::-1])  # NEW sorts after every id, so a new branch follows the children
+        return paths[walk], np.concatenate([leaf_score[leaves], new_score[inner]])[walk]
 
 
 def _routed_counts(P: np.ndarray, Z: np.ndarray, G: np.ndarray):
@@ -432,11 +447,16 @@ def _by_route(routes: list) -> tuple[list, list[int]]:
     return distinct, [distinct.index(r) for r in routes]
 
 
+def _rows(rows: list[list[int]], width: int) -> np.ndarray:
+    """The integer lists ``rows``, each ``width`` long, as one int64 array (faster than ``np.array``)."""
+    return np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=len(rows) * width).reshape(-1, width)
+
+
 def _sum_rows(index: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
-    """Sum the rows of ``rows`` into ``size`` bins by ``index``."""
-    out = np.zeros((size, rows.shape[-1]))
-    np.add.at(out, index, rows)
-    return out
+    """Sum the integer rows of ``rows`` into ``size`` bins by ``index``."""
+    C = rows.shape[-1]
+    cells = (index[:, None] * C + np.arange(C)).ravel()
+    return np.bincount(cells, rows.ravel(), size * C).astype(np.int64).reshape(size, C)
 
 
 def _weights_from_logs(logw) -> list[float]:
@@ -445,15 +465,23 @@ def _weights_from_logs(logw) -> list[float]:
     return [math.exp(v - m) for v in logw]
 
 
-def _categorical(rng: np.random.Generator, w) -> int:
-    """Draw an index with probability proportional to the non-negative weights ``w``."""
-    u = rng.random() * sum(w)
+def _categorical(u: float, w: list[float]) -> int:
+    """The index that uniform ``u`` picks with probability proportional to the non-negative weights ``w``.
+
+    The first index whose running sum exceeds ``u`` times the total.
+    """
+    u *= sum(w)
     acc = 0.0
     for k, v in enumerate(w):
         acc += v
         if u < acc:
             return k
     return len(w) - 1
+
+
+def _spec(path: np.ndarray) -> PathSpec:
+    """The ``Hierarchy.add_path`` spec of a candidate row: its ids, None for NEW."""
+    return tuple(None if c == NEW else c for c in path.tolist())
 
 
 # -- public operations -----------------------------------------------------
@@ -464,6 +492,26 @@ def init_state(kg: KnowledgeGraph, hyper: Hyperparameters, rng: np.random.Genera
     return SamplerState(kg, hyper, rng)
 
 
+def _level_move(state: SamplerState, i: int, j: int, direction: int, u: float) -> None:
+    """Resample one level indicator of pair (i, j) in place, with ``u`` the uniform its draw reads."""
+    w, keys, key_of, old = state._level_weights(i, j, direction)
+    new = _categorical(u, w) + 1
+    was = keys[key_of[old - 1]]
+    if new != old:
+        state.Z[i, j, direction] = new
+        state.ghist[old] -= 1
+        state.ghist[new] += 1
+        now = keys[key_of[new - 1]]
+        if now != was:
+            state._pair_apply(i, j, -1, was)
+            state._pair_apply(i, j, +1, now)
+            return
+    if state.rel[was][0] == 1:
+        # a removal and a re-insertion would have moved the row to the end,
+        # and complete_log_likelihood sums the rows in order
+        state.rel[was] = state.rel.pop(was)
+
+
 def sample_level_indicator(state: SamplerState, i: int, j: int, direction: int) -> None:
     """Resample one level indicator of the ordered pair (i, j) in place.
 
@@ -472,24 +520,11 @@ def sample_level_indicator(state: SamplerState, i: int, j: int, direction: int) 
     indicator and its pair left out of the counts; when every level routes
     the pair to one sibling key the likelihood cancels and the prior alone is
     drawn from.  The pair's counts are written only when the drawn level
-    routes it to another sibling key.
+    routes it to another sibling key.  The draw reads one uniform from the
+    state's generator, as each move of ``gibbs_iteration``'s level pass does.
     """
-    if state.L == 1:
-        return
-    w, keys, key_of = state._level_weights(i, j, direction)
-    new = _categorical(state.rng, w) + 1
-    old = state.Z.item(i, j, direction)
-    state.Z[i, j, direction] = new
-    state.ghist[old] -= 1
-    state.ghist[new] += 1
-    was, now = keys[key_of[old - 1]], keys[key_of[new - 1]]
-    if now != was:
-        state._pair_apply(i, j, -1, was)
-        state._pair_apply(i, j, +1, now)
-    elif state.rel[was][0] == 1:
-        # a removal and a re-insertion would have moved the row to the end,
-        # and complete_log_likelihood sums the rows in order
-        state.rel[was] = state.rel.pop(was)
+    if state.L > 1:
+        _level_move(state, i, j, direction, state.rng.random())
 
 
 def _normalized(w) -> np.ndarray:
@@ -513,12 +548,12 @@ def sample_path(state: SamplerState, i: int) -> None:
 
     The entity's pair contributions and path are removed (pruning emptied
     communities), every candidate continuation of the remaining tree is scored
-    by prior times collapsed likelihood, and the chosen path is materialized
-    with fresh ids for any new branch.
+    by prior times collapsed likelihood, one uniform picks a candidate, and
+    only the chosen path is materialized, with fresh ids for any new branch.
     """
-    specs, logw = state._remove_entity_and_score(i)
-    choice = _categorical(state.rng, _weights_from_logs(logw))
-    state.P[i] = state.h.add_path(specs[choice])
+    paths, logw = state._remove_entity_and_score(i)
+    choice = _categorical(state.rng.random(), np.exp(logw - logw.max()).tolist())
+    state.P[i] = state.h.add_path(_spec(paths[choice]))
     state._refresh_divergence_row(i)
     state._entity_pairs_apply(i, +1)
     state.path_resamples[i] += 1
@@ -532,8 +567,8 @@ def path_conditional(state: SamplerState, i: int) -> tuple[list[PathSpec], np.nd
     the state passed in is never written.
     """
     probe = copy.deepcopy(state, {id(state.kg): state.kg})  # the graph is never written
-    specs, logw = probe._remove_entity_and_score(i)
-    return specs, _normalized(_weights_from_logs(logw))
+    paths, logw = probe._remove_entity_and_score(i)
+    return [_spec(p) for p in paths], _normalized(np.exp(logw - logw.max()))
 
 
 def gibbs_iteration(state: SamplerState, degrees: DegreeTable) -> None:
@@ -542,19 +577,22 @@ def gibbs_iteration(state: SamplerState, degrees: DegreeTable) -> None:
     For each ordered pair (i, j) the sender indicator is resampled with
     probability ``s_i`` and the receiver indicator with ``s_j``; each entity's
     path is then resampled with probability ``s_i``.  Appends one trace entry.
+
+    The level pass draws all 2E² gates, finds the open ones in (i, j,
+    direction) order, and draws their uniforms in one call, which yields the
+    same numbers as one draw per move; each move then reads its own.  So the
+    stream is the one that ``sample_level_indicator`` called on each open
+    gate in that order would read.
     """
     E = state.E
     s = degrees.sampling_prob
     gates = state.rng.random((E, E, 2))  # drawn at any depth, so depth 1 keeps the RNG stream
     if state.L > 1:  # a single level leaves no indicator to move
-        for i in range(E):
-            s_i = s[i]
-            gate_row = gates[i]
-            for j in range(E):
-                if gate_row[j, 0] < s_i:
-                    sample_level_indicator(state, i, j, SENDER)
-                if gate_row[j, 1] < s[j]:
-                    sample_level_indicator(state, i, j, RECEIVER)
+        thresholds = np.stack(np.broadcast_arrays(s[:, None], s[None, :]), axis=2)
+        moves = np.flatnonzero(gates < thresholds)
+        uniforms = state.rng.random(len(moves)).tolist()
+        for i, j, d, u in zip(*(a.tolist() for a in np.unravel_index(moves, gates.shape)), uniforms):
+            _level_move(state, i, j, d, u)
     path_gates = state.rng.random(E)
     for i in range(E):
         if path_gates[i] < s[i]:
@@ -573,9 +611,8 @@ def complete_log_likelihood(state: SamplerState) -> float:
     of counts only, so the value is invariant to entity and id relabeling.
     """
     hyper = state.hyper
-    rows = np.array(list(state.rel.values()), dtype=np.float64)
-    ones = rows[:, 1:]
-    total = stats.log_evidence_delta(0, 0, ones, rows[:, :1] - ones, hyper.lam, hyper.eta)
+    rows = np.array(list(state.rel.values()), dtype=np.int64)
+    total = float(stats.log_evidence_terms(np.zeros_like(rows), rows, hyper.lam, hyper.eta).sum())
 
     gamma = hyper.gamma
     counts: dict[int, int] = {}

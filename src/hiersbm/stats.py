@@ -1,16 +1,22 @@
 """Closed-form collapsed quantities and distribution helpers.
 
-Everything here is pure.  Likelihood arithmetic runs in log space via
-log-gamma: pair counts reach 1e5 at desk scale and raw Beta-function values
-underflow long before that.  The sampler's Beta-Bernoulli evidence lives here
-and nowhere else: ``log_evidence_terms`` is the one elementwise evidence term
-(per sibling pair and predicate), which the path scorer sums per sibling pair
-and ``log_evidence_delta`` sums in full for the complete log-likelihood;
+Everything here is pure, apart from a per-process cache of log-gamma tables.
+Likelihood arithmetic runs in log space via log-gamma: pair counts reach 1e5
+at desk scale and raw Beta-function values underflow long before that.  The
+sampler's Beta-Bernoulli evidence lives here and nowhere else:
+``log_evidence_terms`` gives the evidence change of each count row
+``[n, ones_0, ..., ones_{R-1}]`` (one per sibling pair), which the path scorer
+reads per candidate node and the complete log-likelihood sums in full.  It
+reads integer log-gamma tables, lgamma(k + lam), lgamma(k + eta) and
+lgamma(k + lam + eta), built once per (lam, eta) and grown on demand to the
+largest count seen, and takes the total-count term once per row.
 ``level_log_likelihood`` serves level-indicator moves whose candidate levels
 route the pair to two or more sibling keys, once per key; a move whose levels
 all reach one key draws from the level prior alone.  The level model lives
 here too: ``level_prior`` (the predictive every level move draws from) and
 ``level_log_marginal`` (the indicators' term of the complete log-likelihood).
+The path move sums the log nCRP path prior along the tree itself, from pass
+counts (see ``sampler``).
 """
 
 from __future__ import annotations
@@ -20,9 +26,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import betaln
-
-from .hierarchy import Hierarchy, PathSpec, ROOT_ID
+from scipy.special import gammaln
 
 __all__ = [
     "Schedule",
@@ -30,12 +34,10 @@ __all__ = [
     "log_beta_fn",
     "beta_posterior",
     "log_evidence_terms",
-    "log_evidence_delta",
     "path_log_likelihood_delta",
     "level_log_likelihood",
     "level_prior",
     "level_log_marginal",
-    "ncrp_path_prior",
 ]
 
 
@@ -91,16 +93,11 @@ class Hyperparameters:
     schedule: Schedule | None = None
 
     def validate(self) -> None:
-        if not self.gamma > 0:
-            raise ValueError("gamma must be > 0")
+        for name in ("gamma", "sigma", "lam", "eta"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
         if not 0 < self.mu < 1:
             raise ValueError("mu must lie in (0, 1)")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be > 0")
-        if not self.lam > 0:
-            raise ValueError("lam must be > 0")
-        if not self.eta > 0:
-            raise ValueError("eta must be > 0")
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
         if self.level_prior_mode not in ("stick", "dirichlet"):
@@ -108,8 +105,8 @@ class Hyperparameters:
         if self.level_prior_mode == "dirichlet":
             if self.alpha is None or len(self.alpha) != self.depth:
                 raise ValueError("alpha must provide one positive value per level in dirichlet mode")
-            if any(a <= 0 for a in self.alpha):
-                raise ValueError("alpha entries must be > 0")
+            if not all(0 < a < math.inf for a in self.alpha):
+                raise ValueError("alpha entries must be finite and > 0")
         if self.schedule is not None:
             self.schedule.validate()
 
@@ -130,20 +127,44 @@ def beta_posterior(ones: int, zeros: int, lam: float, eta: float) -> tuple[float
     return (ones + lam, zeros + eta)
 
 
-def log_evidence_terms(b1, b0, c1, c0, lam: float, eta: float) -> np.ndarray:
-    """Elementwise log marginal-likelihood change from adding counts (c1, c0) to (b1, b0).
+_LOG_GAMMA: dict[tuple[float, float], np.ndarray] = {}
 
-    The arguments are broadcast arrays of one- and zero-counts, one entry per
-    sibling pair and predicate; each entry of the result is
-    log B(b1+c1+lam, b0+c0+eta) - log B(b1+lam, b0+eta).  With b = 0 it is the
-    collapsed evidence of the counts c themselves.
+
+def _log_gamma_tables(lam: float, eta: float, top: int) -> np.ndarray:
+    """Rows lgamma(k + lam), lgamma(k + eta) and lgamma(k + lam + eta) for k = 0, 1, ... past ``top``.
+
+    One read-only table per (lam, eta), kept for the process, so that no
+    chain pays for it more than once; it at least doubles whenever a count
+    outgrows it, so it is built a few times at most.
     """
-    return betaln(b1 + c1 + lam, b0 + c0 + eta) - betaln(b1 + lam, b0 + eta)
+    table = _LOG_GAMMA.get((lam, eta))
+    if table is None or table.shape[1] <= top:
+        size = max(top + 1, 64, 2 * (0 if table is None else table.shape[1]))
+        k = np.arange(size, dtype=np.float64)
+        table = _LOG_GAMMA[(lam, eta)] = gammaln(np.stack([k + lam, k + eta, k + (lam + eta)]))
+        table.flags.writeable = False
+    return table
 
 
-def log_evidence_delta(b1, b0, c1, c0, lam: float, eta: float) -> float:
-    """The sum of :func:`log_evidence_terms` over every entry."""
-    return float(np.sum(log_evidence_terms(b1, b0, c1, c0, lam, eta)))
+def log_evidence_terms(base, added, lam: float, eta: float) -> np.ndarray:
+    """Log marginal-likelihood change of each count row from adding ``added`` to ``base``.
+
+    Both are K x (1+R) integer arrays of rows ``[n, ones_0, ..., ones_{R-1}]``:
+    the pairs at one sibling pair and each predicate's one-count among them.
+    Entry k of the result is the sum over predicates r of
+    log B(b1+c1+lam, b0+c0+eta) - log B(b1+lam, b0+eta), where b1 and b0 are
+    row k's one- and zero-counts of r in ``base`` and c1, c0 in ``added``.
+    With ``base`` zero it is the collapsed evidence of the rows themselves.
+    Each log B is read from integer log-gamma tables; the lgamma(n + lam + eta)
+    term is the same for every predicate of a row, so it is read once per row.
+    """
+    # columns as contiguous rows: gathers by a strided index array are several times slower
+    base = np.ascontiguousarray(np.asarray(base, dtype=np.int64).T)
+    after = np.add(base, np.asarray(added, dtype=np.int64).T, order="C")
+    n0, b1, n1, a1 = base[0], base[1:], after[0], after[1:]
+    ones, zeros, total = _log_gamma_tables(lam, eta, int(n1.max(initial=0)))
+    per_predicate = ones[a1] - ones[b1] + zeros[n1 - a1] - zeros[n0 - b1]
+    return per_predicate.sum(axis=0) - len(b1) * (total[n1] - total[n0])
 
 
 def path_log_likelihood_delta(
@@ -152,15 +173,17 @@ def path_log_likelihood_delta(
     lam: float,
     eta: float,
 ) -> float:
-    """:func:`log_evidence_delta` over dicts of (ones, zeros) per sibling key.
+    """:func:`log_evidence_terms` summed over dicts of integer (ones, zeros) per sibling key.
 
     ``base`` holds the counts with the entity removed; ``contrib`` holds the
     entity's own counts routed under a candidate assignment.  Keys absent from
     ``base`` count as (0, 0).
     """
-    b = np.array([base.get(key, (0, 0)) for key in contrib], dtype=np.float64).reshape(-1, 2)
-    c = np.array(list(contrib.values()), dtype=np.float64).reshape(-1, 2)
-    return log_evidence_delta(b[:, 0], b[:, 1], c[:, 0], c[:, 1], lam, eta)
+    b = np.array([base.get(key, (0, 0)) for key in contrib], dtype=np.int64).reshape(-1, 2)
+    c = np.array(list(contrib.values()), dtype=np.int64).reshape(-1, 2)
+    b_rows = np.column_stack([b.sum(axis=1), b[:, 0]])
+    c_rows = np.column_stack([c.sum(axis=1), c[:, 0]])
+    return float(log_evidence_terms(b_rows, c_rows, lam, eta).sum())
 
 
 def level_log_likelihood(g: Sequence[int], ones: Sequence[int], n: int, lam: float, eta: float) -> float:
@@ -239,34 +262,4 @@ def level_log_marginal(hist: Sequence[int], hyper: Hyperparameters) -> float:
     out = math.lgamma(total_alpha) - math.lgamma(total_alpha + sum(hist))
     for a, n_l in zip(alpha, hist):
         out += math.lgamma(a + n_l) - math.lgamma(a)
-    return out
-
-
-def ncrp_path_prior(h: Hierarchy, gamma: float) -> dict[PathSpec, float]:
-    """Prior probability of every candidate path through the current tree.
-
-    Candidates are all existing full paths plus a "branch new" option beneath
-    the root and every internal community.  A fresh branch continues to the
-    bottom with probability one (a new community has no competing children),
-    so the returned probabilities sum to one.  One depth-first walk looks up
-    each community once.
-    """
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0")
-    depth = h.depth
-    node = h.node
-    out: dict[PathSpec, float] = {}
-
-    def descend(community, prefix: tuple, prob: float) -> None:
-        level = len(prefix)
-        if level == depth:
-            out[prefix] = prob
-            return
-        denom = community.pass_count + gamma
-        for cid in community.children:
-            child = node(cid)
-            descend(child, prefix + (cid,), prob * child.pass_count / denom)
-        out[prefix + (None,) * (depth - level)] = prob * gamma / denom
-
-    descend(node(ROOT_ID), (), 1.0)
     return out

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 import os
@@ -228,6 +229,22 @@ class TestFit:
         assert len(err.splitlines()) == 1 and f"{section}.{key}" in err, err
         assert not (tmp_path / "f").exists()
 
+    @pytest.mark.parametrize(
+        "key,value", [("gamma", "Infinity"), ("lambda", "Infinity"), ("sigma", "Infinity"), ("alpha", "[NaN, 1, 1]")]
+    )
+    def test_non_finite_prior_rejected(self, tmp_path, sbt_dir, capsys, key, value):
+        cfg = write_config(tmp_path, sbt_dir / "triples.tsv", tmp_path / "f")
+        config = json.loads(cfg.read_text())
+        config["model"][key] = "VALUE"
+        if key == "alpha":
+            config["model"].update(level_prior_mode="dirichlet", depth=3)
+        # json writes no Infinity or NaN on request, but it reads them
+        cfg.write_text(json.dumps(config).replace('"VALUE"', value), encoding="utf-8")
+        assert run_cli("fit", cfg) == 1
+        err = assert_one_line_error(capsys)
+        assert "finite" in err
+        assert not (tmp_path / "f").exists()
+
     def test_manifest_lists_indicator_files(self, fit_dir):
         outputs = json.loads((fit_dir / "run_manifest.json").read_text())["outputs"]
         for stem in ("sample_chain0_00", "sample_chain0_01", "point_estimate_chain0"):
@@ -389,6 +406,36 @@ class TestDeterminism:
                 if path_a.name == "run_manifest.json":
                     continue  # embeds the output directory path
                 assert path_a.read_bytes() == path_b.read_bytes(), path_a.name
+
+
+# A two-chain fit of ``gen-sbt --depth 3 --per-leaf 4 --probs 0.1 0.4 0.6
+# --predicates 2 --seed 7``, recorded at commit 8f7fbac: the SHA-256 of every
+# stored sample's entity paths (JSON) and of every ``*.indicators.npy`` file.
+# Log-likelihoods are left out, since their last digits depend on summation
+# order.  A change that fails this test changes fixed-seed outputs and must say so.
+PINNED_FIT_SHA256 = "0f582bb115637a18542bf8bdf8eba53ca0e55afcd098475386e393e8422b74c8"
+
+
+def test_fixed_seed_fit_is_pinned(tmp_path):
+    data = tmp_path / "data"
+    assert run_cli("gen-sbt", "--depth", 3, "--per-leaf", 4, "--probs", 0.1, 0.4, 0.6,
+                   "--predicates", 2, "--seed", 7, "--out-dir", data) == 0
+    config = {
+        "model": {"gamma": 3.0, "mu": 0.5, "sigma": 1.0, "lambda": 1.0, "eta": 1.0, "depth": 3},
+        "schedule": {"iterations": 8, "burn_in": 4, "lag": 2, "final_samples": 2, "chains": 2, "seed": 0},
+        "io": {"input": str(data / "triples.tsv"), "output_dir": str(tmp_path / "fit")},
+    }
+    cfg = tmp_path / "pin.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    assert run_cli("fit", cfg) == 0
+    digest = hashlib.sha256()
+    for path in sorted((tmp_path / "fit").iterdir()):
+        if path.name.endswith(".indicators.npy"):
+            digest.update(path.name.encode() + path.read_bytes())
+        elif path.suffix == ".json" and path.name != "run_manifest.json":
+            entities = json.loads(path.read_text())["entities"]
+            digest.update(path.name.encode() + json.dumps([(e["label"], e["path"]) for e in entities]).encode())
+    assert digest.hexdigest() == PINNED_FIT_SHA256
 
 
 def test_usage_error_exit_code():

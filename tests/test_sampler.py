@@ -30,6 +30,7 @@ from hiersbm.sampler import (
     write_trace_csv,
 )
 from hiersbm.stats import Hyperparameters, Schedule
+from test_stats import ncrp_path_prior
 
 
 def random_kg(n_entities, n_predicates, density, seed):
@@ -376,6 +377,93 @@ def test_path_conditional_matches_enumeration_at_depth(n, n_pred, depth, density
         assert np.max(np.abs(got - want)) < 1e-9
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    n_pred=st.integers(1, 3),
+    depth=st.integers(1, 4),
+    density=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+    sweeps=st.integers(0, 2),
+    seed=st.integers(0, 999),
+)
+def test_path_candidates_come_in_the_oracle_order(n, n_pred, depth, density, sweeps, seed):
+    kg = random_kg(n, n_pred, density, seed)
+    hyper = hyper_with(depth=depth)
+    state = init_state(kg, hyper, np.random.default_rng(seed))
+    deg = degree_table(kg)
+    for _ in range(sweeps):
+        gibbs_iteration(state, deg)
+    for i in range(n):
+        specs, _ = path_conditional(state, i)
+        pruned = copy.deepcopy(state.h)
+        pruned.remove_path(tuple(int(c) for c in state.P[i]))
+        assert specs == list(ncrp_path_prior(pruned, hyper.gamma))
+
+
+def reference_sweep(state, degrees):
+    """``gibbs_iteration`` written move by move, as an oracle of its order and its RNG stream.
+
+    Each open gate in (i, j, direction) order calls ``sample_level_indicator``;
+    each open path move draws over the candidates in ``ncrp_path_prior``'s
+    order, with the probabilities ``path_conditional`` gives each spec.
+    """
+    E, s, rng = state.E, degrees.sampling_prob, state.rng
+    gates = rng.random((E, E, 2))
+    for i in range(E):
+        for j in range(E):
+            if gates[i, j, 0] < s[i]:
+                sample_level_indicator(state, i, j, 0)
+            if gates[i, j, 1] < s[j]:
+                sample_level_indicator(state, i, j, 1)
+    path_gates = rng.random(E)
+    for i in range(E):
+        if path_gates[i] < s[i]:
+            prob = dict(zip(*path_conditional(state, i)))
+            state._entity_pairs_apply(i, -1)
+            state.h.remove_path(tuple(int(c) for c in state.P[i]))
+            specs = list(ncrp_path_prior(state.h, state.hyper.gamma))
+            u = rng.random() * sum(prob[spec] for spec in specs)
+            cum = np.cumsum([prob[spec] for spec in specs])
+            state.P[i] = state.h.add_path(specs[min(int(np.sum(cum <= u)), len(specs) - 1)])
+            state._refresh_divergence_row(i)
+            state._entity_pairs_apply(i, +1)
+            state.path_resamples[i] += 1
+    state.iteration += 1
+    state.trace.append((state.iteration, complete_log_likelihood(state)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    n_pred=st.integers(1, 3),
+    depth=st.integers(1, 4),
+    density=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+    sweeps=st.integers(1, 3),
+    seed=st.integers(0, 999),
+    dirichlet=st.booleans(),
+)
+def test_sweep_equals_a_move_by_move_reference(n, n_pred, depth, density, sweeps, seed, dirichlet):
+    from hiersbm.kgraph import DegreeTable
+
+    kg = random_kg(n, n_pred, density, seed)
+    mode = dict(level_prior_mode="dirichlet", alpha=tuple(0.5 + 0.3 * l for l in range(depth))) if dirichlet else {}
+    state = init_state(kg, hyper_with(depth=depth, **mode), np.random.default_rng(seed))
+    # sampling probabilities below 1, so that some gates stay closed
+    prob = np.random.default_rng(seed + 1).uniform(0.2, 0.9, n)
+    deg = DegreeTable(degree=np.zeros(n, dtype=np.int64), sampling_prob=prob)
+    twin = copy.deepcopy(state, {id(kg): kg})
+    for _ in range(sweeps):
+        gibbs_iteration(state, deg)
+        reference_sweep(twin, deg)
+    assert np.array_equal(state.P, twin.P)
+    assert np.array_equal(state.Z, twin.Z)
+    assert state.h.to_dict() == twin.h.to_dict()
+    assert list(state.rel.items()) == list(twin.rel.items())
+    assert state.ghist == twin.ghist
+    assert state.rng.bit_generator.state == twin.rng.bit_generator.state
+    assert state.trace == twin.trace
+
+
 def enumerated_level_conditional(kg, hyper, paths, Z, i, j, d):
     """Normalised joint over the levels of indicator d of pair (i, j)."""
     lls = []
@@ -566,7 +654,7 @@ def pairwise_apply(state, i, sign):
 def move_entity(state, i, pick, redraw):
     """Give entity i, out of the counts, the ``pick``-th candidate path and fresh indicators in row and column i."""
     state.h.remove_path(tuple(int(c) for c in state.P[i]))
-    specs = list(stats.ncrp_path_prior(state.h, state.hyper.gamma))
+    specs = list(ncrp_path_prior(state.h, state.hyper.gamma))
     state.P[i] = state.h.add_path(specs[pick % len(specs)])
     state._refresh_divergence_row(i)
     state.Z[i, :] = redraw[0]

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
+from scipy.special import betaln, gammaln
 
-from hiersbm.hierarchy import Hierarchy
+from hiersbm.hierarchy import ROOT_ID, Hierarchy, PathSpec
 from hiersbm.stats import (
     Hyperparameters,
     Schedule,
@@ -13,7 +14,7 @@ from hiersbm.stats import (
     level_log_likelihood,
     level_prior,
     log_beta_fn,
-    ncrp_path_prior,
+    log_evidence_terms,
     path_log_likelihood_delta,
 )
 
@@ -82,6 +83,41 @@ class TestPathLogLikelihoodDelta:
                 expected *= simpson(x**c1 * (1 - x) ** c0 * prior, x=x)
             got = math.exp(path_log_likelihood_delta(base, contrib, lam, eta))
             assert got == pytest.approx(expected, rel=1e-5)
+
+
+@pytest.mark.parametrize("lam,eta", [(1.0, 1.0), (0.9, 1.1), (2.5, 0.3)])
+def test_table_evidence_matches_betaln(lam, eta):
+    """``log_evidence_terms`` from log-gamma tables against scipy's betaln, counts up to E² = 160 000.
+
+    The tables sum log-gammas as large as lgamma(160 001) ~ 1.8e6, whose
+    rounding (~2e-10) no sum of them can undo; so the error is measured
+    against the largest log-gamma of a row, lgamma(n + lam + eta).  Balanced
+    rows, whose evidence is of that size, then agree within 1e-12 relative.
+    """
+    rng = np.random.default_rng(4)
+    R = 2
+    n = rng.integers(0, 160_001, 400)
+    n[:40] = 160_000
+    ones = (rng.random((400, R)) * (n[:, None] + 1)).astype(np.int64)
+    ones[:20] = 0  # one-sided rows, at the largest count
+    ones[20:40] = n[20:40, None]
+    base = np.column_stack([n, ones])
+    added = rng.integers(0, 3, (400, 1 + R))
+    added[:, 0] = added[:, 1:].max(axis=1) + rng.integers(0, 3, 400)
+    zeros_b = np.zeros_like(base)
+    b1, b0 = ones, n[:, None] - ones
+    c1, c0 = added[:, 1:], added[:, :1] - added[:, 1:]
+    cases = [
+        (zeros_b, base, betaln(b1 + lam, b0 + eta) - betaln(lam, eta)),
+        (base, added, betaln(b1 + c1 + lam, b0 + c0 + eta) - betaln(b1 + lam, b0 + eta)),
+    ]
+    scale = np.maximum(1.0, gammaln(n + added[:, 0] + lam + eta))
+    for b, c, want in cases:
+        got = log_evidence_terms(b, c, lam, eta)
+        assert np.max(np.abs(got - want.sum(axis=1)) / scale) < 1e-12
+    balanced = np.abs(ones / np.maximum(n[:, None], 1) - 0.5).max(axis=1) < 0.3
+    got, want = log_evidence_terms(zeros_b, base, lam, eta), cases[0][2].sum(axis=1)
+    assert np.max(np.abs(got - want)[balanced] / np.abs(want[balanced])) < 1e-12
 
 
 def test_path_delta_insertion_order_exchangeable():
@@ -229,6 +265,36 @@ def test_level_priors_positive_and_normalized(hist, mu, sigma):
         assert abs(vec.sum() - 1.0) < 1e-12
 
 
+def ncrp_path_prior(h: Hierarchy, gamma: float) -> dict[PathSpec, float]:
+    """Prior probability of every candidate path through the current tree; oracle of the path move.
+
+    Candidates are all existing full paths plus a "branch new" option beneath
+    the root and every internal community, in the order of a depth-first walk
+    (children in the tree's order, a community's new branch after them).  A
+    fresh branch continues to the bottom with probability one (a new community
+    has no competing children), so the probabilities sum to one.
+    """
+    if gamma <= 0:
+        raise ValueError("gamma must be > 0")
+    depth = h.depth
+    node = h.node
+    out: dict[PathSpec, float] = {}
+
+    def descend(community, prefix: tuple, prob: float) -> None:
+        level = len(prefix)
+        if level == depth:
+            out[prefix] = prob
+            return
+        denom = community.pass_count + gamma
+        for cid in community.children:
+            child = node(cid)
+            descend(child, prefix + (cid,), prob * child.pass_count / denom)
+        out[prefix + (None,) * (depth - level)] = prob * gamma / denom
+
+    descend(node(ROOT_ID), (), 1.0)
+    return out
+
+
 class TestNcrpPathPrior:
     def test_empty_tree_single_candidate(self):
         h = Hierarchy(3)
@@ -254,8 +320,6 @@ class TestNcrpPathPrior:
 
     def test_probabilities_sum_to_one_on_random_trees(self):
         rng = np.random.default_rng(9)
-        from hiersbm.hierarchy import ROOT_ID
-
         for trial in range(30):
             depth = int(rng.integers(1, 5))
             h = Hierarchy(depth)
@@ -291,6 +355,17 @@ class TestHyperparameters:
     def test_bounds_rejected(self, field, value):
         with pytest.raises(ValueError):
             self._valid(**{field: value}).validate()
+
+    @pytest.mark.parametrize("field", ["gamma", "sigma", "lam", "eta"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            self._valid(**{field: value}).validate()
+
+    @pytest.mark.parametrize("alpha", [(math.nan, 1.0, 1.0), (1.0, math.inf, 1.0), (1.0, 1.0, -math.inf)])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            self._valid(level_prior_mode="dirichlet", alpha=alpha).validate()
 
     def test_dirichlet_mode_requires_alpha(self):
         with pytest.raises(ValueError):
