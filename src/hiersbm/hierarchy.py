@@ -11,7 +11,8 @@ communities sharing a parent, together with a predicate id; it names one
 pairwise relation degree.  The sampler counts per sibling pair rather than
 per key: one row ``[n, ones_0, ..., ones_{R-1}]`` for each occupied pair
 (a, b), holding the number of entity pairs routed there and the one-count of
-every predicate among them.
+every predicate among them.  The rows form a plain map: nothing reads their
+order, and ``route_pairs`` returns its pairs sorted.
 """
 
 from __future__ import annotations
@@ -72,11 +73,6 @@ class Hierarchy:
             return self._nodes[community_id]
         except KeyError:
             raise ValueError(f"no community with id {community_id}") from None
-
-    @property
-    def next_id(self) -> int:
-        """Smallest id that has never been used (fresh ids are >= this)."""
-        return self._next_id
 
     @property
     def num_entities(self) -> int:
@@ -255,15 +251,14 @@ def route_levels(zs, zr, div, depth: int):
 def route_pairs(P: np.ndarray, Zs: np.ndarray, Zr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Route all ordered pairs of the E paths in ``P`` at E x E levels ``Zs``, ``Zr``.
 
-    Returns the distinct (a, b) community pairs, K x 2 in order of first
-    appearance in row-major (i, j) order, and the E x E index into them.
+    Returns the distinct (a, b) community pairs, K x 2 in ascending order,
+    and the E x E index into them.
     """
     P = np.asarray(P, dtype=np.int64)
     ls, lr = route_levels(Zs, Zr, divergence_levels(P[:, None, :], P[None, :, :]), P.shape[1])
     rows = np.arange(len(P))
     a = P[rows[:, None], ls - 1].ravel()
     b = P[rows[None, :], lr - 1].ravel()
-    _, first, index = np.unique(a * (int(b.max(initial=0)) + 1) + b, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    firsts = first[order]
-    return np.stack([a[firsts], b[firsts]], axis=1), np.argsort(order)[index].reshape(len(P), len(P))
+    width = int(b.max(initial=0)) + 1
+    keys, index = np.unique(a * width + b, return_inverse=True)
+    return np.stack(np.divmod(keys, width), axis=1), index.reshape(len(P), len(P))

@@ -4,8 +4,11 @@ The chain state keeps only what the moves read.  Its incremental sufficient
 statistics are one count row per occupied sibling pair of communities,
 ``rel[(a, b)] = [n, ones_0, ..., ones_{R-1}]`` (the number of entity pairs
 routed there, then the one-count of each predicate among them), and one pooled
-level-indicator histogram ``ghist``, which the level prior reads.  Each
-entity's level mode is worked out from the indicators when a sample is taken.
+level-indicator histogram ``ghist``, which the level prior reads.  ``rel``
+is a plain map: no move or read-out depends on the order of its rows, and
+``complete_log_likelihood`` adds its terms with ``math.fsum``, exactly
+rounded, so the value is a function of the counts alone.  Each entity's level
+mode is worked out from the indicators when a sample is taken.
 Every move scores its candidates with the collapsed formulas and the level
 model in ``stats``, against the counts with the moved contributions left out,
 and then writes the chosen configuration; ``audit_counts`` compares the
@@ -158,17 +161,15 @@ class SamplerState:
         for i in range(self.E):
             self.P[i] = synth.sample_ncrp_path(self.h, hyper.gamma, rng)
         self.D = divergence_levels(self.P[:, None, :], self.P[None, :, :])
-        # _route_table[d][zs][zr] -> (sender level, receiver level); index 0 unused
+        # route_table[d][zs][zr] -> (sender level, receiver level); index 0 unused
         z = np.arange(self.L + 1)
         ls, lr = route_levels(z[:, None], z[None, :], np.arange(self.L + 2)[:, None, None], self.L)
-        self._route_table = [
-            [list(zip(*rows)) for rows in zip(*planes)] for planes in zip(ls.tolist(), lr.tolist())
-        ]
+        route_table = [[list(zip(*rows)) for rows in zip(*planes)] for planes in zip(ls.tolist(), lr.tolist())]
         # _level_table[direction][d][other indicator] -> (distinct routes, route index per level)
         levels = range(1, self.L + 1)
         self._level_table = [
-            [[_by_route([table[l][o] for l in levels]) for o in range(self.L + 1)] for table in self._route_table],
-            [[_by_route([table[o][l] for l in levels]) for o in range(self.L + 1)] for table in self._route_table],
+            [[_by_route([table[l][o] for l in levels]) for o in range(self.L + 1)] for table in route_table],
+            [[_by_route([table[o][l] for l in levels]) for o in range(self.L + 1)] for table in route_table],
         ]
 
         # Indicators i.i.d. from the zero-count level prior.
@@ -200,17 +201,10 @@ class SamplerState:
         self.D[i, :] = d
         self.D[:, i] = d
 
-    def _route(self, i: int, j: int, zi: int, zj: int) -> tuple[int, int]:
-        """Sibling-key community pair for one interaction at levels (zi, zj)."""
-        ls, lr = self._route_table[self.D[i, j]][zi][zj]
-        return int(self.P[i, ls - 1]), int(self.P[j, lr - 1])
-
     # -- incremental counts ----------------------------------------------
 
-    def _pair_apply(self, x: int, y: int, sign: int, key: tuple[int, int] | None = None) -> None:
-        """Add or remove the (x, y) pair's counts at ``key``, by default its current route."""
-        if key is None:
-            key = self._route(x, y, int(self.Z[x, y, SENDER]), int(self.Z[x, y, RECEIVER]))
+    def _pair_apply(self, x: int, y: int, sign: int, key: tuple[int, int]) -> None:
+        """Add or remove the (x, y) pair's counts at the sibling pair ``key``."""
         row = self.rel.get(key)
         if row is None:
             row = self.rel[key] = [0] * (self.R + 1)
@@ -228,11 +222,7 @@ class SamplerState:
         """Add or remove the counts of entity i's pairs: row i and column i, the self pair once.
 
         One batched pass routes the 2E - 1 pairs and sums their ``[1, g...]``
-        rows per sibling key, then updates ``rel`` once per key, in the order
-        a loop over (i, 0), (0, i), (i, 1), (1, i), ... first meets the keys.
-        A removal only deletes rows and an addition only appends them, so
-        ``rel`` keeps the rows and the order that per-pair updates in that
-        loop would leave (``complete_log_likelihood`` sums the rows in order).
+        rows per sibling key, then updates ``rel`` once per key.
         """
         E, R = self.E, self.R
         x = np.full(2 * E, i)
@@ -241,13 +231,13 @@ class SamplerState:
         x, y = np.delete(x, 2 * i + 1), np.delete(y, 2 * i + 1)  # the self pair once
         ls, lr = route_levels(self.Z[x, y, SENDER], self.Z[x, y, RECEIVER], self.D[x, y], self.L)
         a, b = self.P[x, ls - 1], self.P[y, lr - 1]
-        keys, first, at = np.unique(a * (int(b.max()) + 1) + b, return_index=True, return_inverse=True)
+        width = int(b.max()) + 1
+        keys, at = np.unique(a * width + b, return_inverse=True)
         cell = np.flatnonzero(self.G[x, y])  # the pairs' ones, pair-major
         ones = np.bincount(at[cell // R] * R + cell % R, minlength=len(keys) * R).reshape(-1, R)
         counts = sign * np.column_stack([np.bincount(at, minlength=len(keys)), ones])
-        order = np.argsort(first)
         rel = self.rel
-        for key, delta in zip(zip(a[first[order]].tolist(), b[first[order]].tolist()), counts[order].tolist()):
+        for key, delta in zip(zip(*(k.tolist() for k in np.divmod(keys, width))), counts.tolist()):
             row = rel.get(key)
             if row is None:
                 rel[key] = delta
@@ -277,11 +267,11 @@ class SamplerState:
         The indicator's histogram entry is left out of the level prior.  When
         every level routes the pair to one key, the predictive likelihood is
         the same at every level and cancels, so the weights are the prior
-        alone, and only the one key is built.  Otherwise each key scores one
-        ``level_log_likelihood`` with the pair's own row left out in the
-        arithmetic (its current key scores ``n - 1`` pairs and ``ones - g``
-        ones), and the weights are the exponentiated log weights, shifted so
-        that the largest is 1.
+        alone; no key is built, since the pair's counts cannot move.
+        Otherwise each key scores one ``level_log_likelihood`` with the
+        pair's own row left out in the arithmetic (its current key scores
+        ``n - 1`` pairs and ``ones - g`` ones), and the weights are the
+        exponentiated log weights, shifted so that the largest is 1.
         """
         Z, P = self.Z, self.P
         cur, other = Z.item(i, j, direction), Z.item(i, j, 1 - direction)
@@ -290,8 +280,7 @@ class SamplerState:
         hist[cur - 1] -= 1
         prior = stats.level_prior(hist, self.hyper)
         if len(routes) == 1:
-            ls, lr = routes[0]
-            return prior, [(P.item(i, ls - 1), P.item(j, lr - 1))], key_of, cur
+            return prior, [], key_of, cur
         keys = [(P.item(i, ls - 1), P.item(j, lr - 1)) for ls, lr in routes]
         own = key_of[cur - 1]
         lam, eta = self.hyper.lam, self.hyper.eta
@@ -428,9 +417,8 @@ class SamplerState:
 def _routed_counts(P: np.ndarray, Z: np.ndarray, G: np.ndarray):
     """Route every pair of ``P`` at indicators ``Z`` and count ``G`` per sibling pair.
 
-    Returns ``route_pairs``' K pairs and E x E index, the K x R one-counts and
-    the K totals; keys (a, b, r) thus come in the order a loop over (i, j, r)
-    first meets them.
+    Returns ``route_pairs``' K pairs (sorted) and E x E index, the K x R
+    one-counts and the K totals.
     """
     pairs, index = route_pairs(P, Z[:, :, SENDER], Z[:, :, RECEIVER])
     K, R = len(pairs), G.shape[2]
@@ -496,20 +484,15 @@ def _level_move(state: SamplerState, i: int, j: int, direction: int, u: float) -
     """Resample one level indicator of pair (i, j) in place, with ``u`` the uniform its draw reads."""
     w, keys, key_of, old = state._level_weights(i, j, direction)
     new = _categorical(u, w) + 1
-    was = keys[key_of[old - 1]]
-    if new != old:
-        state.Z[i, j, direction] = new
-        state.ghist[old] -= 1
-        state.ghist[new] += 1
-        now = keys[key_of[new - 1]]
-        if now != was:
-            state._pair_apply(i, j, -1, was)
-            state._pair_apply(i, j, +1, now)
-            return
-    if state.rel[was][0] == 1:
-        # a removal and a re-insertion would have moved the row to the end,
-        # and complete_log_likelihood sums the rows in order
-        state.rel[was] = state.rel.pop(was)
+    if new == old:
+        return
+    state.Z[i, j, direction] = new
+    state.ghist[old] -= 1
+    state.ghist[new] += 1
+    was, now = key_of[old - 1], key_of[new - 1]
+    if now != was:
+        state._pair_apply(i, j, -1, keys[was])
+        state._pair_apply(i, j, +1, keys[now])
 
 
 def sample_level_indicator(state: SamplerState, i: int, j: int, direction: int) -> None:
@@ -604,29 +587,29 @@ def gibbs_iteration(state: SamplerState, degrees: DegreeTable) -> None:
 def complete_log_likelihood(state: SamplerState) -> float:
     """Joint log density of the graph and the uncollapsed latents.
 
-    Three terms: the collapsed Bernoulli-Beta evidence of all routed pair
-    counts, the sequential tree-construction probability of the paths, and the
-    collapsed level-indicator marginal (pooled over the indicator histogram;
-    exactly zero when the tree has a single level).  All three are functions
-    of counts only, so the value is invariant to entity and id relabeling.
+    Three terms: the collapsed Bernoulli-Beta evidence of each sibling pair's
+    count row, the nCRP probability of the tree, and the collapsed
+    level-indicator marginal (pooled over the indicator histogram; exactly
+    zero when the tree has a single level).  The nCRP is exchangeable, so its
+    term is a product over parents p with children c and pass counts n,
+    gamma^K Gamma(gamma) prod_c Gamma(n_c) / Gamma(n_p + gamma), read from the
+    pass counts of the communities (ids are unique across levels) and of the
+    root, E.  Every term is a function of counts alone, and ``math.fsum``
+    adds them exactly rounded, so the value does not depend on entity or
+    community ids, nor on the order of ``rel``'s rows.
     """
     hyper = state.hyper
     rows = np.array(list(state.rel.values()), dtype=np.int64)
-    total = float(stats.log_evidence_terms(np.zeros_like(rows), rows, hyper.lam, hyper.eta).sum())
+    evidence = stats.log_evidence_terms(np.zeros_like(rows), rows, hyper.lam, hyper.eta)
 
-    gamma = hyper.gamma
-    counts: dict[int, int] = {}
-    for e in range(state.E):
-        parent_n = e
-        for l in range(state.L):
-            c = int(state.P[e, l])
-            nc = counts.get(c, 0)
-            total += math.log((nc if nc else gamma) / (parent_n + gamma))
-            counts[c] = nc + 1
-            parent_n = nc
+    gamma, lgamma = hyper.gamma, math.lgamma
+    log_gamma, lgamma_gamma = math.log(gamma), lgamma(gamma)
+    passes = np.unique(state.P, return_counts=True)[1].tolist()
+    parents = np.unique(state.P[:, :-1], return_counts=True)[1].tolist() + [state.E]
+    tree = [lgamma(n) + log_gamma for n in passes] + [lgamma_gamma - lgamma(n + gamma) for n in parents]
 
-    total += stats.level_log_marginal(state.ghist[1:], hyper)
-    return total
+    level = stats.level_log_marginal(state.ghist[1:], hyper)
+    return math.fsum(chain(evidence.tolist(), tree, [level]))
 
 
 def run(kg: KnowledgeGraph, hyper: Hyperparameters) -> tuple[list[PosteriorSample], Trace]:

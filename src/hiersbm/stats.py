@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import gammaln
@@ -32,9 +32,7 @@ __all__ = [
     "Schedule",
     "Hyperparameters",
     "log_beta_fn",
-    "beta_posterior",
     "log_evidence_terms",
-    "path_log_likelihood_delta",
     "level_log_likelihood",
     "level_prior",
     "level_log_marginal",
@@ -118,15 +116,6 @@ def log_beta_fn(a: float, b: float) -> float:
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
-def beta_posterior(ones: int, zeros: int, lam: float, eta: float) -> tuple[float, float]:
-    """Posterior Beta shapes for a relation degree given its routed pair counts."""
-    if ones < 0 or zeros < 0:
-        raise ValueError("counts must be >= 0")
-    if lam <= 0 or eta <= 0:
-        raise ValueError("lam and eta must be > 0")
-    return (ones + lam, zeros + eta)
-
-
 _LOG_GAMMA: dict[tuple[float, float], np.ndarray] = {}
 
 
@@ -165,25 +154,6 @@ def log_evidence_terms(base, added, lam: float, eta: float) -> np.ndarray:
     ones, zeros, total = _log_gamma_tables(lam, eta, int(n1.max(initial=0)))
     per_predicate = ones[a1] - ones[b1] + zeros[n1 - a1] - zeros[n0 - b1]
     return per_predicate.sum(axis=0) - len(b1) * (total[n1] - total[n0])
-
-
-def path_log_likelihood_delta(
-    base: Mapping[tuple, tuple[int, int]],
-    contrib: Mapping[tuple, tuple[int, int]],
-    lam: float,
-    eta: float,
-) -> float:
-    """:func:`log_evidence_terms` summed over dicts of integer (ones, zeros) per sibling key.
-
-    ``base`` holds the counts with the entity removed; ``contrib`` holds the
-    entity's own counts routed under a candidate assignment.  Keys absent from
-    ``base`` count as (0, 0).
-    """
-    b = np.array([base.get(key, (0, 0)) for key in contrib], dtype=np.int64).reshape(-1, 2)
-    c = np.array(list(contrib.values()), dtype=np.int64).reshape(-1, 2)
-    b_rows = np.column_stack([b.sum(axis=1), b[:, 0]])
-    c_rows = np.column_stack([c.sum(axis=1), c[:, 0]])
-    return float(log_evidence_terms(b_rows, c_rows, lam, eta).sum())
 
 
 def level_log_likelihood(g: Sequence[int], ones: Sequence[int], n: int, lam: float, eta: float) -> float:

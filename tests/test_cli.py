@@ -411,8 +411,9 @@ class TestDeterminism:
 # A two-chain fit of ``gen-sbt --depth 3 --per-leaf 4 --probs 0.1 0.4 0.6
 # --predicates 2 --seed 7``, recorded at commit 8f7fbac: the SHA-256 of every
 # stored sample's entity paths (JSON) and of every ``*.indicators.npy`` file.
-# Log-likelihoods are left out, since their last digits depend on summation
-# order.  A change that fails this test changes fixed-seed outputs and must say so.
+# Log-likelihoods are left out: they are exactly rounded sums, but the last
+# digits of their log-gamma terms depend on the math library and the scipy
+# version.  A change that fails this test changes fixed-seed outputs and must say so.
 PINNED_FIT_SHA256 = "0f582bb115637a18542bf8bdf8eba53ca0e55afcd098475386e393e8422b74c8"
 
 

@@ -71,15 +71,7 @@ def joint_log_likelihood(kg, hyper, paths, Z):
     total = 0.0
     for ones, zeros in counts.values():
         total += math.lgamma(ones + lam) + math.lgamma(zeros + eta) - math.lgamma(ones + zeros + lam + eta) - base
-    node_counts = {}
-    for e in range(n):
-        parent_n = e
-        for l in range(depth):
-            c = paths[e][l]
-            nc = node_counts.get(c, 0)
-            total += math.log((nc if nc else hyper.gamma) / (parent_n + hyper.gamma))
-            node_counts[c] = nc + 1
-            parent_n = nc
+    total += seating_log_prob(paths, hyper.gamma)
     if depth > 1:
         hist = [0] * (depth + 1)
         for v in Z.ravel():
@@ -100,6 +92,26 @@ def joint_log_likelihood(kg, hyper, paths, Z):
             for l in range(1, depth + 1):
                 total += math.lgamma(alpha[l - 1] + hist[l]) - math.lgamma(alpha[l - 1])
     return total
+
+
+def seating_log_prob(paths, gamma):
+    """nCRP log probability of the paths, seating the entities one at a time in id order."""
+    total = 0.0
+    node_counts = {}
+    for e, path in enumerate(paths):
+        parent_n = e
+        for c in path:
+            nc = node_counts.get(c, 0)
+            total += math.log((nc if nc else gamma) / (parent_n + gamma))
+            node_counts[c] = nc + 1
+            parent_n = nc
+    return total
+
+
+def oracle_key(state, i, j):
+    """The sibling pair ``hierarchy.coarsen`` routes pair (i, j) to at its current indicators."""
+    pi, pj = (tuple(state.P[e].tolist()) for e in (i, j))
+    return coarsen(pi, int(state.Z[i, j, 0]), pj, int(state.Z[i, j, 1]), 0)[:2]
 
 
 def oracle_path_candidates(paths_minus, depth):
@@ -208,8 +220,6 @@ class TestLevelIndicatorMove:
         assert np.max(np.abs(got - want)) < 1e-9
 
     def test_counts_match_a_removal_then_a_re_addition(self):
-        # complete_log_likelihood sums the rows of rel in order, so fixed-seed
-        # traces depend on the order as well as the counts
         kg = random_kg(6, 2, 0.5, 2)
         state = init_state(kg, hyper_with(depth=3), np.random.default_rng(2))
         for i in range(6):
@@ -217,10 +227,10 @@ class TestLevelIndicatorMove:
                 for d in (0, 1):
                     twin = copy.deepcopy(state, {id(kg): kg})
                     sample_level_indicator(state, i, j, d)
-                    twin._pair_apply(i, j, -1)
+                    twin._pair_apply(i, j, -1, oracle_key(twin, i, j))
                     twin.Z[i, j, d] = state.Z[i, j, d]
-                    twin._pair_apply(i, j, +1)
-                    assert list(state.rel.items()) == list(twin.rel.items())
+                    twin._pair_apply(i, j, +1, oracle_key(twin, i, j))
+                    assert state.rel == twin.rel
         assert audit_counts(state).ok
 
     @pytest.mark.parametrize("mode", [{}, dict(level_prior_mode="dirichlet", alpha=(0.6, 1.3, 0.9))])
@@ -239,9 +249,9 @@ class TestLevelIndicatorMove:
                 want = np.array(stats.level_prior(hist, hyper))
                 got = level_conditional(state, i, j, d)
                 assert np.max(np.abs(got - want / want.sum())) < 1e-12
-                rows = list(state.rel.items())
+                rows = {k: list(v) for k, v in state.rel.items()}
                 sample_level_indicator(state, i, j, d)
-                assert sorted(state.rel.items()) == sorted(rows)
+                assert state.rel == rows
         assert audit_counts(state).ok
 
     def test_empirical_frequencies_match_conditional(self):
@@ -318,7 +328,7 @@ class TestPathMove:
         twin = copy.deepcopy(state, {id(kg): kg})
         paths_before = state.P.copy()
         tree_before = state.h.to_dict()
-        rel_before = [(k, list(v)) for k, v in state.rel.items()]
+        rel_before = {k: list(v) for k, v in state.rel.items()}
         ghist_before = list(state.ghist)
         for i in range(state.E):
             path_conditional(state, i)
@@ -327,7 +337,7 @@ class TestPathMove:
                     level_conditional(state, i, j, d)
         assert np.array_equal(state.P, paths_before)
         assert state.h.to_dict() == tree_before
-        assert [(k, list(v)) for k, v in state.rel.items()] == rel_before
+        assert state.rel == rel_before
         assert state.ghist == ghist_before
         assert audit_counts(state).ok
         gibbs_iteration(state, deg)
@@ -458,7 +468,7 @@ def test_sweep_equals_a_move_by_move_reference(n, n_pred, depth, density, sweeps
     assert np.array_equal(state.P, twin.P)
     assert np.array_equal(state.Z, twin.Z)
     assert state.h.to_dict() == twin.h.to_dict()
-    assert list(state.rel.items()) == list(twin.rel.items())
+    assert state.rel == twin.rel
     assert state.ghist == twin.ghist
     assert state.rng.bit_generator.state == twin.rng.bit_generator.state
     assert state.trace == twin.trace
@@ -640,15 +650,47 @@ def test_log_likelihood_invariant_to_entity_relabeling(case, random):
     other.Z[:] = state.Z[np.ix_(perm, perm)]
     other._recount_relations_into(other.rel)
     other._recount_level_hist_into(other.ghist)
-    assert complete_log_likelihood(other) == pytest.approx(complete_log_likelihood(state), rel=1e-12, abs=1e-12)
+    assert complete_log_likelihood(other) == complete_log_likelihood(state)
+
+
+@settings(max_examples=100, deadline=None)
+@given(chains_and_moves())
+def test_log_likelihood_invariant_to_row_order(case):
+    kg, hyper, seed, moves = case
+    state = init_state(kg, hyper, np.random.default_rng(seed))
+    for move in moves:
+        apply_move(state, move)
+    want = complete_log_likelihood(state)
+    state.rel = dict(reversed(list(state.rel.items())))
+    assert complete_log_likelihood(state) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    depth=st.integers(1, 4),
+    gamma=st.sampled_from([0.05, 0.8, 3.0, 40.0]),
+    seed=st.integers(0, 999),
+    moves=st.lists(st.integers(0, 7), max_size=8),
+)
+def test_tree_term_matches_sequential_seating(n, depth, gamma, seed, moves):
+    kg = random_kg(n, 1, 0.5, seed)
+    state = init_state(kg, hyper_with(depth=depth, gamma=gamma), np.random.default_rng(seed))
+    for i in moves:
+        sample_path(state, i % n)
+    # with one empty count row and an empty level histogram, only the tree term is left
+    state.rel = {(0, 0): [0, 0]}
+    state.ghist = [0] * (depth + 1)
+    want = seating_log_prob(state.P.tolist(), gamma)
+    assert complete_log_likelihood(state) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def pairwise_apply(state, i, sign):
-    """Entity i's pairs one at a time, in the order (i, 0), (0, i), (i, 1), (1, i), ..., the self pair once."""
+    """Entity i's pairs one at a time, each at its ``coarsen`` key, the self pair once."""
     for j in range(state.E):
-        state._pair_apply(i, j, sign)
+        state._pair_apply(i, j, sign, oracle_key(state, i, j))
         if j != i:
-            state._pair_apply(j, i, sign)
+            state._pair_apply(j, i, sign, oracle_key(state, j, i))
 
 
 def move_entity(state, i, pick, redraw):
@@ -682,13 +724,13 @@ def test_batched_entity_update_matches_pairwise_updates(n, n_pred, depth, densit
         twin = copy.deepcopy(state, {id(kg): kg})
         state._entity_pairs_apply(i, -1)
         pairwise_apply(twin, i, -1)
-        assert list(state.rel.items()) == list(twin.rel.items())
+        assert state.rel == twin.rel
         redraw = rng.integers(1, depth + 1, (2, n, 2))
         for s in (state, twin):
             move_entity(s, i, pick, redraw)
         state._entity_pairs_apply(i, +1)
         pairwise_apply(twin, i, +1)
-        assert list(state.rel.items()) == list(twin.rel.items())
+        assert state.rel == twin.rel
         report = audit_counts(state)
         assert report.ok, report.message
 

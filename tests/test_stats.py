@@ -10,12 +10,10 @@ from hiersbm.hierarchy import ROOT_ID, Hierarchy, PathSpec
 from hiersbm.stats import (
     Hyperparameters,
     Schedule,
-    beta_posterior,
     level_log_likelihood,
     level_prior,
     log_beta_fn,
     log_evidence_terms,
-    path_log_likelihood_delta,
 )
 
 GRID = np.linspace(0.0, 1.0, 10001)
@@ -26,44 +24,15 @@ class TestDistributionHelpers:
         assert log_beta_fn(1, 1) == pytest.approx(0.0, abs=1e-14)
 
 
-class TestBetaPosterior:
-    def test_no_data_returns_prior(self):
-        assert beta_posterior(0, 0, 1.5, 2.5) == (1.5, 2.5)
-
-    def test_counts_add(self):
-        a, b = beta_posterior(3, 5, 1, 1)
-        assert (a, b) == (4, 6)
-        assert a / (a + b) == pytest.approx(0.4)
-
-    def test_sequential_update_property(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            o1, z1, o2, z2 = rng.integers(0, 20, size=4)
-            lam, eta = rng.uniform(0.5, 3, size=2)
-            step1 = beta_posterior(int(o1), int(z1), lam, eta)
-            step2 = beta_posterior(int(o2), int(z2), *step1)
-            joint = beta_posterior(int(o1 + o2), int(z1 + z2), lam, eta)
-            assert step2 == pytest.approx(joint)
-
-    def test_matches_quadrature_density(self):
-        # normalized Bernoulli-product times prior equals the closed-form density
-        ones, zeros, lam, eta = 3, 5, 1.0, 1.0
-        x = GRID
-        integrand = x**ones * (1 - x) ** zeros * x ** (lam - 1) * (1 - x) ** (eta - 1)
-        norm = simpson(integrand, x=x)
-        a, b = beta_posterior(ones, zeros, lam, eta)
-        inner = GRID[1:-1]
-        closed = np.exp((a - 1) * np.log(inner) + (b - 1) * np.log(1 - inner) - log_beta_fn(a, b))
-        assert np.max(np.abs(integrand[1:-1] / norm - closed)) < 1e-6 * np.max(closed)
-
-
 class TestPathLogLikelihoodDelta:
+    """``log_evidence_terms`` on ``[n, ones]`` rows: the evidence change of adding one row to another."""
+
     def test_single_positive_observation(self):
-        delta = path_log_likelihood_delta({}, {("k",): (1, 0)}, 1.0, 1.0)
+        delta = log_evidence_terms([[0, 0]], [[1, 1]], 1.0, 1.0)[0]
         assert delta == pytest.approx(math.log(0.5), rel=1e-12)
 
     def test_empty_contribution(self):
-        assert path_log_likelihood_delta({("k",): (5, 2)}, {}, 1.0, 1.0) == 0.0
+        assert log_evidence_terms([[7, 5]], [[0, 0]], 1.0, 1.0).tolist() == [0.0]
 
     def test_matches_quadrature(self):
         # integer shapes keep the integrand polynomial, within the grid rule's reach
@@ -81,7 +50,9 @@ class TestPathLogLikelihoodDelta:
                 prior = x ** (b1 + lam - 1) * (1 - x) ** (b0 + eta - 1)
                 prior /= simpson(prior, x=x)
                 expected *= simpson(x**c1 * (1 - x) ** c0 * prior, x=x)
-            got = math.exp(path_log_likelihood_delta(base, contrib, lam, eta))
+            rows = [[b1 + b0, b1] for b1, b0 in base.values()]
+            added = [[c1 + c0, c1] for c1, c0 in contrib.values()]
+            got = math.exp(log_evidence_terms(rows, added, lam, eta).sum())
             assert got == pytest.approx(expected, rel=1e-5)
 
 
@@ -130,25 +101,24 @@ def test_path_delta_insertion_order_exchangeable():
     def pair_key(i, j):
         return (int(cluster[i]), int(cluster[j]))
 
+    def add_pair(rows, x, y):
+        n, ones = rows.get(pair_key(x, y), (0, 0))
+        rows[pair_key(x, y)] = (n + 1, ones + int(graph[x, y]))
+
     def insert_order_total(order):
-        counts = {}
+        counts = {}  # [n, ones] per key
         total = 0.0
         placed = []
         for e in order:
             contrib = {}
             new_pairs = [(e, s) for s in placed] + [(s, e) for s in placed] + [(e, e)]
             for x, y in new_pairs:
-                key = pair_key(x, y)
-                c1, c0 = contrib.get(key, (0, 0))
-                if graph[x, y]:
-                    c1 += 1
-                else:
-                    c0 += 1
-                contrib[key] = (c1, c0)
-            total += path_log_likelihood_delta(counts, contrib, lam, eta)
-            for key, (c1, c0) in contrib.items():
-                b1, b0 = counts.get(key, (0, 0))
-                counts[key] = (b1 + c1, b0 + c0)
+                add_pair(contrib, x, y)
+            base = [counts.get(key, (0, 0)) for key in contrib]
+            total += log_evidence_terms(base, list(contrib.values()), lam, eta).sum()
+            for key, (n_add, ones_add) in contrib.items():
+                n_base, ones_base = counts.get(key, (0, 0))
+                counts[key] = (n_base + n_add, ones_base + ones_add)
             placed.append(e)
         return total
 
@@ -160,10 +130,9 @@ def test_path_delta_insertion_order_exchangeable():
     final = {}
     for i in range(n):
         for j in range(n):
-            key = pair_key(i, j)
-            c1, c0 = final.get(key, (0, 0))
-            final[key] = (c1 + bool(graph[i, j]), c0 + (not graph[i, j]))
-    direct = path_log_likelihood_delta({}, final, lam, eta)
+            add_pair(final, i, j)
+    rows = list(final.values())
+    direct = log_evidence_terms(np.zeros((len(rows), 2), dtype=np.int64), rows, lam, eta).sum()
     assert forward == pytest.approx(direct, abs=1e-9)
 
 
