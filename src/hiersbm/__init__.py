@@ -1,8 +1,9 @@
 """Hierarchical stochastic blockmodel for knowledge graphs.
 
 The package provides the knowledge-graph data model (:mod:`hiersbm.kgraph`),
-the mutable community tree (:mod:`hiersbm.hierarchy`), closed-form collapsed
-quantities (:mod:`hiersbm.stats`), forward simulation and synthetic datasets
+the community tree as a view of entity paths, with the pair routing rule
+(:mod:`hiersbm.hierarchy`), closed-form collapsed quantities
+(:mod:`hiersbm.stats`), forward simulation and synthetic datasets
 (:mod:`hiersbm.synth`), the collapsed Gibbs sampler (:mod:`hiersbm.sampler`),
 clustering metrics (:mod:`hiersbm.metrics`) and a command-line interface
 (:mod:`hiersbm.cli`).
@@ -11,7 +12,7 @@ clustering metrics (:mod:`hiersbm.metrics`) and a command-line interface
 __version__ = "0.1.0"
 
 from .kgraph import KnowledgeGraph, DegreeTable, load_triples, degree_table, filter_triples
-from .hierarchy import Hierarchy, Community, divergence_level, coarsen
+from .hierarchy import Hierarchy, divergence_level, coarsen
 from .stats import Hyperparameters, Schedule
 from .synth import generate_sbt, forward_generate
 from .sampler import init_state, run, aggregate
@@ -24,7 +25,6 @@ __all__ = [
     "degree_table",
     "filter_triples",
     "Hierarchy",
-    "Community",
     "divergence_level",
     "coarsen",
     "Hyperparameters",

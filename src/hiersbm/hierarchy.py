@@ -1,9 +1,10 @@
-"""Mutable community tree with pass counts, plus the pair routing rule.
+"""The community tree as its entities' paths, plus the pair routing rule.
 
 The tree realizes the nested preferential-attachment process: every entity
-owns a root-to-leaf path of fixed depth, communities track how many current
-paths pass through them, and communities whose count drops to zero are pruned.
-Community ids are never recycled, so logs stay unambiguous across pruning.
+owns a root-to-leaf path of fixed depth, and the tree is the union of those
+paths.  A community exists while some path passes through it, so a community
+that no path reaches any more is gone without being pruned.  Community ids
+come from a counter and are never recycled, so logs stay unambiguous.
 
 A ``Path`` omits the root: entry ``l-1`` is the community at level ``l``
 (levels run 1..depth).  A ``SiblingKey`` (a, b, r) is an ordered pair of
@@ -17,13 +18,10 @@ order, and ``route_pairs`` returns its pairs sorted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 __all__ = [
     "ROOT_ID",
-    "Community",
     "Hierarchy",
     "Path",
     "PathSpec",
@@ -44,159 +42,40 @@ PathSpec = tuple
 SiblingKey = tuple[int, int, int]
 
 
-@dataclass
-class Community:
-    """One tree node; ``pass_count`` is the number of current paths through it."""
-
-    id: int
-    parent: int | None
-    level: int
-    pass_count: int = 0
-    children: list[int] = field(default_factory=list)
-
-
 class Hierarchy:
-    """Rooted community tree of fixed depth, single-writer mutable."""
+    """Read-only view of the community tree that a set of entity paths spans.
 
-    def __init__(self, depth: int):
-        if depth < 1:
-            raise ValueError("depth must be >= 1")
-        self.depth = depth
-        self._nodes: dict[int, Community] = {ROOT_ID: Community(ROOT_ID, None, 0)}
-        self._next_id = 1
+    A community's pass count is the number of paths through it.
+    """
 
-    def __contains__(self, community_id: int) -> bool:
-        return community_id in self._nodes
-
-    def node(self, community_id: int) -> Community:
-        try:
-            return self._nodes[community_id]
-        except KeyError:
-            raise ValueError(f"no community with id {community_id}") from None
-
-    @property
-    def num_entities(self) -> int:
-        return self._nodes[ROOT_ID].pass_count
-
-    @property
-    def num_communities(self) -> int:
-        """Number of non-root communities currently in the tree."""
-        return len(self._nodes) - 1
-
-    def children_of(self, community_id: int) -> list[int]:
-        return list(self.node(community_id).children)
-
-    def community_ids(self, include_root: bool = False) -> list[int]:
-        return [cid for cid in self._nodes if include_root or cid != ROOT_ID]
-
-    def pass_count(self, community_id: int) -> int:
-        return self.node(community_id).pass_count
-
-    def leaves(self) -> list[int]:
-        return [c.id for c in self._nodes.values() if c.level == self.depth]
-
-    def add_path(self, spec: PathSpec) -> Path:
-        """Register one entity along ``spec`` and return the concrete path.
-
-        ``spec`` names an existing community per level or ``None`` from some
-        level downward; new communities get fresh, never-recycled ids.  The
-        spec is validated in full before any count changes.
-        """
-        if len(spec) != self.depth:
-            raise ValueError(f"path spec must have {self.depth} levels, got {len(spec)}")
-        branched = False
-        parent_id = ROOT_ID
-        for level, want in enumerate(spec, start=1):
-            if want is None:
-                branched = True
-                continue
-            if branched:
-                raise ValueError("existing community named below a new branch point")
-            node = self._nodes.get(want)
-            if node is None:
-                raise ValueError(f"no community with id {want} at level {level}")
-            if node.parent != parent_id:
-                raise ValueError(f"community {want} is not a child of {parent_id}")
-            parent_id = want
-        parent = self._nodes[ROOT_ID]
-        out = []
-        for level, want in enumerate(spec, start=1):
-            if want is None:
-                node = Community(self._next_id, parent.id, level)
-                self._nodes[node.id] = node
-                parent.children.append(node.id)
-                self._next_id += 1
-            else:
-                node = self._nodes[want]
-            node.pass_count += 1
-            out.append(node.id)
-            parent = node
-        self._nodes[ROOT_ID].pass_count += 1
-        return tuple(out)
-
-    def remove_path(self, path: Path) -> None:
-        """Unregister one entity along ``path``, pruning emptied communities."""
-        if len(path) != self.depth:
-            raise ValueError(f"path must have {self.depth} levels, got {len(path)}")
-        chain = []
-        parent_id = ROOT_ID
-        for level, cid in enumerate(path, start=1):
-            node = self._nodes.get(cid)
-            if node is None or node.parent != parent_id or node.level != level or node.pass_count < 1:
-                raise RuntimeError(f"path {path} is not registered in the hierarchy")
-            chain.append(node)
-            parent_id = cid
-        self._nodes[ROOT_ID].pass_count -= 1
-        for node in chain:
-            node.pass_count -= 1
-        for node in reversed(chain):
-            if node.pass_count == 0:
-                self._nodes[node.parent].children.remove(node.id)
-                del self._nodes[node.id]
+    def __init__(self, paths):
+        self.paths = paths
 
     def to_dict(self) -> dict:
-        """Nested JSON-ready tree: {id, level, pass_count, children: [...]}."""
+        """Nested JSON-ready tree: {id, level, pass_count, children: [...]}, children by ascending id.
 
-        def build(cid: int) -> dict:
-            node = self._nodes[cid]
-            return {
-                "id": node.id,
-                "level": node.level,
-                "pass_count": node.pass_count,
-                "children": [build(c) for c in node.children],
-            }
-
-        return build(ROOT_ID)
-
-    def validate(self) -> None:
-        """Raise if any structural invariant is violated (used by tests)."""
-        root = self._nodes[ROOT_ID]
-        if root.level != 0 or root.parent is not None:
-            raise AssertionError("root must sit at level 0 with no parent")
-        reachable = set()
-        stack = [ROOT_ID]
-        while stack:
-            cid = stack.pop()
-            reachable.add(cid)
-            node = self._nodes[cid]
-            if cid != ROOT_ID and node.pass_count < 1:
-                raise AssertionError(f"community {cid} has pass_count {node.pass_count}")
-            if node.children:
-                total = 0
-                for child in node.children:
-                    cnode = self._nodes[child]
-                    if cnode.parent != cid or cnode.level != node.level + 1:
-                        raise AssertionError(f"bad parent/level link at community {child}")
-                    total += cnode.pass_count
-                if total != node.pass_count:
-                    raise AssertionError(
-                        f"community {cid} pass_count {node.pass_count} != children sum {total}"
-                    )
-            elif cid != ROOT_ID and node.level != self.depth:
-                raise AssertionError(f"internal community {cid} at level {node.level} has no children")
-            stack.extend(node.children)
-        if reachable != set(self._nodes):
-            raise AssertionError("orphan communities present")
+        Ids only ever grow, so ascending id order is creation order.  Raises
+        ``ValueError`` if the paths span no tree: a community named at two
+        levels or under two parents.
+        """
+        paths = np.asarray(self.paths, dtype=np.int64).tolist()
+        root = {"id": ROOT_ID, "level": 0, "pass_count": len(paths), "children": []}
+        nodes, parent_of = {ROOT_ID: root}, {}
+        for path in paths:
+            parent = ROOT_ID
+            for level, cid in enumerate(path, start=1):
+                node = nodes.get(cid)
+                if node is None:
+                    node = nodes[cid] = {"id": cid, "level": level, "pass_count": 0, "children": []}
+                    nodes[parent]["children"].append(node)
+                    parent_of[cid] = parent
+                elif node["level"] != level or parent_of[cid] != parent:
+                    raise ValueError(f"community {cid} is named at two levels or under two parents")
+                node["pass_count"] += 1
+                parent = cid
+        for node in nodes.values():
+            node["children"].sort(key=lambda child: child["id"])
+        return root
 
 
 def divergence_level(pi: Path, pj: Path) -> int:

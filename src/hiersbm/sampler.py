@@ -1,14 +1,17 @@
 """Collapsed Gibbs engine: chain state, resampling moves, schedule, aggregation.
 
-The chain state keeps only what the moves read.  Its incremental sufficient
-statistics are one count row per occupied sibling pair of communities,
-``rel[(a, b)] = [n, ones_0, ..., ones_{R-1}]`` (the number of entity pairs
-routed there, then the one-count of each predicate among them), and one pooled
-level-indicator histogram ``ghist``, which the level prior reads.  ``rel``
-is a plain map: no move or read-out depends on the order of its rows, and
-``complete_log_likelihood`` adds its terms with ``math.fsum``, exactly
-rounded, so the value is a function of the counts alone.  Each entity's level
-mode is worked out from the indicators when a sample is taken.
+The chain state keeps only what the moves read.  The entity paths ``P`` are
+the whole community tree: a community exists while some path passes through
+it, new communities take their ids from the counter ``next_id``, and ids are
+never reused.  ``h`` derives the tree from ``P`` when it is read.  The
+incremental sufficient statistics are one count row per occupied sibling pair
+of communities, ``rel[(a, b)] = [n, ones_0, ..., ones_{R-1}]`` (the number of
+entity pairs routed there, then the one-count of each predicate among them),
+and one pooled level-indicator histogram ``ghist``, which the level prior
+reads.  ``rel`` is a plain map: no move or read-out depends on the order of
+its rows, and ``complete_log_likelihood`` adds its terms with ``math.fsum``,
+exactly rounded, so the value is a function of the counts alone.  Each
+entity's level mode is worked out from the indicators when a sample is taken.
 Every move scores its candidates with the collapsed formulas and the level
 model in ``stats``, against the counts with the moved contributions left out,
 and then writes the chosen configuration; ``audit_counts`` compares the
@@ -29,8 +32,9 @@ pair and the indicator out in the arithmetic and scores one predictive
 likelihood per distinct key.  It writes the pair's counts only when the drawn
 level routes the pair to another key.
 
-A path move removes the entity's pairs and path, then scores all of its
-candidates in one pass over the tree, as arrays, then adds the chosen path.
+A path move removes the entity's pairs, then scores all of its candidates in
+one pass over the tree the other entities' paths span, as arrays, then writes
+the chosen path and adds its pairs back.
 Removing and adding the pairs is one batched pass each: the entity's 2E - 1
 pairs are routed together and summed per sibling key, and ``rel`` is updated
 once per key.  Under a candidate path, each of the entity's pairs lands on a
@@ -44,8 +48,8 @@ entities on that leaf reach; a new branch below community p scores p's path
 sum plus one sibling term for the children of p it would join.  The
 candidates are ordered as a depth-first walk of the tree (children by
 ascending id, a community's new branch after its children) by one sort of
-their padded paths, and one uniform picks among them; only the chosen
-candidate becomes a path spec.
+their padded paths, and one uniform picks among them; the chosen row's new
+levels take the next ids, top down.
 
 ``level_conditional`` and ``path_conditional`` return a move's exact
 conditional without making the move, so the state they are given is never
@@ -111,6 +115,7 @@ Trace = list  # list of (iteration, complete log-likelihood) pairs
 SENDER = 0
 RECEIVER = 1
 NEW = np.iinfo(np.int64).max  # a path move's candidate row holds this where it branches new
+MAX_ID = 2**31 - 1  # the largest community id a stored sample may hold: ``route_pairs`` packs two ids into one int64
 
 
 @dataclass(frozen=True)
@@ -155,11 +160,9 @@ class SamplerState:
         self.L = hyper.depth
         self._set_graph(kg.dense_tensor())
 
-        # Paths from the bare tree prior, entities seated in id order.
-        self.h = Hierarchy(self.L)
-        self.P = np.empty((self.E, self.L), dtype=np.int64)
-        for i in range(self.E):
-            self.P[i] = synth.sample_ncrp_path(self.h, hyper.gamma, rng)
+        # Paths from the bare tree prior, entities seated in id order; new communities take next_id.
+        self.P = np.array(synth.sample_ncrp_paths(self.E, self.L, hyper.gamma, rng), dtype=np.int64)
+        self.next_id = int(self.P.max()) + 1
         self.D = divergence_levels(self.P[:, None, :], self.P[None, :, :])
         # route_table[d][zs][zr] -> (sender level, receiver level); index 0 unused
         z = np.arange(self.L + 1)
@@ -185,6 +188,11 @@ class SamplerState:
         self.iteration = 0
         self.trace: Trace = []
         self.path_resamples = np.zeros(self.E, dtype=np.int64)
+
+    @property
+    def h(self) -> Hierarchy:
+        """The community tree, a view of the paths."""
+        return Hierarchy(self.P)
 
     def _set_graph(self, G: np.ndarray) -> None:
         """Install the E x E x R uint8 graph as bytes, pair (x, y) at (x*E + y)*R; the caller recounts.
@@ -297,38 +305,33 @@ class SamplerState:
         log = math.log
         return _weights_from_logs([log(p) + lls[k] for p, k in zip(prior, key_of)]), keys, key_of, cur
 
-    def _remove_entity_and_score(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Remove entity i's pairs and path; return every candidate path and its log weight.
-
-        Removing the path prunes emptied communities.  Each candidate is a row
-        of community ids, ``NEW`` from the level where it branches new; the
-        rows come in the order of a depth-first walk of the tree, children by
-        ascending id and a community's new branch after its children.  Each
-        log weight is the log nCRP prior plus the collapsed evidence of all of
-        the entity's interactions (both directions, all predicates, the self
-        pair once) routed under the candidate at the current indicators; see
-        ``_path_node_scores``.
-        """
-        self._entity_pairs_apply(i, -1)
-        self.h.remove_path(tuple(int(c) for c in self.P[i]))
-        return self._path_node_scores(i)
-
     def _path_node_scores(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Candidate paths of entity i and their log weights, from per-node sums along each path.
 
-        Entity i is out of the counts and the tree.  Take a candidate path c
-        and another entity j whose path leaves c at level d (L+1 on a shared
-        leaf).  Pair (i, j) goes to the sibling key (c_d, P[j]_d) unless its
-        indicators are equal at some z < d, which sends it to the diagonal key
-        (c_z, c_z), or d = L+1 and they differ, which sends it to (c_m, c_m)
-        at m = min(zs, zr); pair (j, i) routes alike to (P[j]_d, c_d).  The
-        self pair goes to (c_m, c_m).  No two of these keys coincide, so the
-        evidence is one term per node of c: the sibling keys it shares with
-        the other children of its parent, and its diagonal key.  The log nCRP
-        prior is a sum along c too: log n_x / (n_parent + gamma) per node x,
-        from the other entities' pass counts, and log gamma / (n_p + gamma)
-        where c branches new below community p.  Prefix sums down the tree
-        then score every existing leaf and every new branch at once.
+        Entity i must be out of the counts.  Its path is not read: the
+        candidates continue the tree the other entities' paths span, so a
+        community that only entity i passes through is no candidate.  Each
+        candidate is a row of community ids, ``NEW`` from the level where it
+        branches new; the rows come in the order of a depth-first walk of the
+        tree, children by ascending id and a community's new branch after its
+        children.  Each log weight is the log nCRP prior plus the collapsed
+        evidence of all of the entity's interactions (both directions, all
+        predicates, the self pair once) routed under the candidate at the
+        current indicators.
+
+        Take a candidate path c and another entity j whose path leaves c at
+        level d (L+1 on a shared leaf).  Pair (i, j) goes to the sibling key
+        (c_d, P[j]_d) unless its indicators are equal at some z < d, which
+        sends it to the diagonal key (c_z, c_z), or d = L+1 and they differ,
+        which sends it to (c_m, c_m) at m = min(zs, zr); pair (j, i) routes
+        alike to (P[j]_d, c_d).  The self pair goes to (c_m, c_m).  No two of
+        these keys coincide, so the evidence is one term per node of c: the
+        sibling keys it shares with the other children of its parent, and its
+        diagonal key.  The log nCRP prior is a sum along c too:
+        log n_x / (n_parent + gamma) per node x, from the other entities' pass
+        counts, and log gamma / (n_p + gamma) where c branches new below
+        community p.  Prefix sums down the tree then score every existing leaf
+        and every new branch at once.
         """
         L, R = self.L, self.R
         others = np.flatnonzero(np.arange(self.E) != i)
@@ -468,7 +471,7 @@ def _categorical(u: float, w: list[float]) -> int:
 
 
 def _spec(path: np.ndarray) -> PathSpec:
-    """The ``Hierarchy.add_path`` spec of a candidate row: its ids, None for NEW."""
+    """The spec of a candidate row: its ids, None for NEW."""
     return tuple(None if c == NEW else c for c in path.tolist())
 
 
@@ -529,14 +532,20 @@ def level_conditional(state: SamplerState, i: int, j: int, direction: int) -> np
 def sample_path(state: SamplerState, i: int) -> None:
     """Resample entity i's path in place.
 
-    The entity's pair contributions and path are removed (pruning emptied
-    communities), every candidate continuation of the remaining tree is scored
-    by prior times collapsed likelihood, one uniform picks a candidate, and
-    only the chosen path is materialized, with fresh ids for any new branch.
+    The entity's pair contributions are removed, every candidate continuation
+    of the tree the other entities' paths span is scored by prior times
+    collapsed likelihood, one uniform picks a candidate, and the chosen row is
+    written to the entity's path, each ``NEW`` level taking the next id, top
+    down.  A community no path passes through any more is gone; its id is
+    never used again.
     """
-    paths, logw = state._remove_entity_and_score(i)
-    choice = _categorical(state.rng.random(), np.exp(logw - logw.max()).tolist())
-    state.P[i] = state.h.add_path(_spec(paths[choice]))
+    state._entity_pairs_apply(i, -1)
+    paths, logw = state._path_node_scores(i)
+    path = paths[_categorical(state.rng.random(), np.exp(logw - logw.max()).tolist())]
+    new = np.flatnonzero(path == NEW)
+    path[new] = state.next_id + np.arange(len(new))
+    state.next_id += len(new)
+    state.P[i] = path
     state._refresh_divergence_row(i)
     state._entity_pairs_apply(i, +1)
     state.path_resamples[i] += 1
@@ -546,11 +555,12 @@ def path_conditional(state: SamplerState, i: int) -> tuple[list[PathSpec], np.nd
     """Candidate path specs and their exact conditional probabilities.
 
     The entity is removed and the candidates scored on a copy of the state, as
-    ``sample_path`` would, so the specs name the copy's tree after pruning;
-    the state passed in is never written.
+    ``sample_path`` would, so the specs name communities of the other
+    entities' paths; the state passed in is never written.
     """
     probe = copy.deepcopy(state, {id(state.kg): state.kg})  # the graph is never written
-    paths, logw = probe._remove_entity_and_score(i)
+    probe._entity_pairs_apply(i, -1)
+    paths, logw = probe._path_node_scores(i)
     return [_spec(p) for p in paths], _normalized(np.exp(logw - logw.max()))
 
 
@@ -759,7 +769,11 @@ def _level_modes(Z: np.ndarray, L: int) -> list[int]:
 
 
 def audit_counts(state: SamplerState) -> AuditReport:
-    """Compare incremental statistics against a from-scratch recount."""
+    """Compare incremental statistics against a from-scratch recount, and check the tree the paths span.
+
+    Each community must sit at one level under one parent, and every id must
+    lie below ``next_id``.
+    """
     fresh: dict = {}
     state._recount_relations_into(fresh)
     empty = [0] * (state.R + 1)
@@ -772,6 +786,12 @@ def audit_counts(state: SamplerState) -> AuditReport:
     state._recount_level_hist_into(ghist)
     if ghist != state.ghist:
         return AuditReport(False, f"global level histogram differs: recount {ghist}, incremental {state.ghist}")
+    try:
+        state.h.to_dict()
+    except ValueError as exc:
+        return AuditReport(False, f"paths span no tree: {exc}")
+    if state.P.max() >= state.next_id:
+        return AuditReport(False, f"community {state.P.max()} is not below next_id {state.next_id}")
     return AuditReport(True)
 
 
@@ -857,19 +877,41 @@ def write_sample_json(sample: PosteriorSample, path) -> list[FsPath]:
     return written
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_sample_json(path) -> PosteriorSample:
+    """Read a sample that ``write_sample_json`` wrote, with its indicators if they lie beside it.
+
+    Raises ``ValueError`` for a file that holds no such sample: JSON of the
+    wrong shape, paths of unequal length, a level outside 1..depth, or a tree
+    that is not the one the entity paths span.
+    """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not (isinstance(doc, dict) and isinstance(doc.get("entities"), list) and _is_int(doc.get("iteration"))
+            and isinstance(doc.get("log_likelihood"), (int, float))):
+        raise ValueError('a sample is a JSON object with an integer "iteration", a "log_likelihood" and an "entities" list')
     entities = doc["entities"]
+    for e in entities:
+        if not (isinstance(e, dict) and isinstance(e.get("label"), str) and _is_int(e.get("level"))
+                and isinstance(e.get("path"), list) and all(_is_int(c) and 0 < c <= MAX_ID for c in e["path"])):
+            raise ValueError(
+                f"sample entity {e!r} needs a string label, an integer level and a path of community ids in 1..{MAX_ID}"
+            )
     n = len(entities)
     paths = [tuple(e["path"]) for e in entities]
-    levels = [int(e["level"]) for e in entities]
+    levels = [e["level"] for e in entities]
     depth = len(paths[0]) if paths else 0
     for e, entity_path, level in zip(entities, paths, levels):
         if len(entity_path) != depth:
             raise ValueError(f"entity {e['label']!r} has a path of length {len(entity_path)}, expected {depth}")
         if not 1 <= level <= depth:
             raise ValueError(f"entity {e['label']!r} has level {level}, outside 1..{depth}")
+    tree = Hierarchy(paths).to_dict()
+    if doc.get("tree") != tree:
+        raise ValueError("the sample's tree is not the tree its entity paths span")
     indicators = None
     if _indicators_path(path).exists():
         indicators = np.load(_indicators_path(path)).astype(np.int64)
@@ -878,9 +920,9 @@ def load_sample_json(path) -> PosteriorSample:
         if n and not 1 <= indicators.min() <= indicators.max() <= depth:
             raise ValueError(f"indicators file holds levels outside 1..{depth}")
     return PosteriorSample(
-        iteration=int(doc["iteration"]),
+        iteration=doc["iteration"],
         log_likelihood=float(doc["log_likelihood"]),
-        tree=doc["tree"],
+        tree=tree,
         entity_labels=[e["label"] for e in entities],
         paths=paths,
         levels=levels,

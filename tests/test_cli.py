@@ -8,6 +8,7 @@ import pytest
 
 from hiersbm import sampler
 from hiersbm.cli import main
+from hiersbm.hierarchy import Hierarchy
 from hiersbm.kgraph import load_triples
 from hiersbm.stats import Hyperparameters, Schedule
 
@@ -47,6 +48,15 @@ def assert_one_line_error(capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "error: " in err, err
     return err
+
+
+def shift_ids(doc, offset):
+    """The sample ``doc`` with every community id but the root's moved by ``offset``, its tree still matching."""
+    def shift(node):
+        return {**node, "id": node["id"] + offset if node["level"] else node["id"],
+                "children": [shift(child) for child in node["children"]]}
+    entities = [{**e, "path": [c + offset for c in e["path"]]} for e in doc["entities"]]
+    return {**doc, "tree": shift(doc["tree"]), "entities": entities}
 
 
 class TestGenSbt:
@@ -311,6 +321,24 @@ class TestRender:
         doc["entities"][1][field] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc), encoding="utf-8")
+        for args in (("render", bad), ("eval", bad, sbt_dir / "truth.tsv", "--out-dir", tmp_path / "m"),
+                     ("relations", bad, sbt_dir / "triples.tsv", "--out", tmp_path / "r.csv")):
+            assert run_cli(*args) == 2, args
+            assert_one_line_error(capsys)
+
+
+    @pytest.mark.parametrize("malform", [
+        lambda doc: [],
+        lambda doc: {**doc, "entities": ["e0", *doc["entities"][1:]]},
+        lambda doc: {**doc, "entities": [{**doc["entities"][0], "path": 5}, *doc["entities"][1:]]},
+        lambda doc: {**doc, "tree": {}},
+        lambda doc: {**doc, "tree": Hierarchy([[c + 100 for c in e["path"]] for e in doc["entities"]]).to_dict()},
+        lambda doc: shift_ids(doc, 2**62),
+    ], ids=["not-an-object", "string-entity", "number-path", "empty-tree", "tree-of-other-paths", "huge-ids"])
+    def test_malformed_sample_is_data_error(self, tmp_path, fit_dir, sbt_dir, capsys, malform):
+        doc = json.loads((fit_dir / "point_estimate_chain0.json").read_text())
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(malform(doc)), encoding="utf-8")
         for args in (("render", bad), ("eval", bad, sbt_dir / "truth.tsv", "--out-dir", tmp_path / "m"),
                      ("relations", bad, sbt_dir / "triples.tsv", "--out", tmp_path / "r.csv")):
             assert run_cli(*args) == 2, args

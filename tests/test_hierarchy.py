@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hiersbm import hierarchy
 from hiersbm.hierarchy import (
     ROOT_ID,
-    Hierarchy,
     coarsen,
     divergence_level,
     divergence_levels,
     route_pairs,
 )
+from tree_oracle import Hierarchy
 
 
 def build_toy_tree():
@@ -125,6 +126,39 @@ class TestAddRemove:
             h.validate()
         leaf_total = sum(h.pass_count(c) for c in h.leaves())
         assert leaf_total == len(registered) == h.num_entities
+
+
+def test_path_view_matches_the_tree_oracle():
+    # the tree the live paths span is the oracle's tree after its pruning,
+    # children in creation order, the empty tree included
+    rng = np.random.default_rng(8)
+    for depth in (1, 2, 3):
+        h = Hierarchy(depth)
+        registered = []
+        for step in range(200):
+            assert hierarchy.Hierarchy(registered).to_dict() == h.to_dict()
+            if registered and rng.random() < 0.5:
+                h.remove_path(registered.pop(int(rng.integers(len(registered)))))
+            else:
+                spec = []
+                node = ROOT_ID
+                for _ in range(depth):
+                    kids = h.children_of(node) if node is not None else []
+                    if kids and rng.random() < 0.6:
+                        node = kids[int(rng.integers(len(kids)))]
+                        spec.append(node)
+                    else:
+                        node = None
+                        spec.append(None)
+                registered.append(h.add_path(tuple(spec)))
+    assert hierarchy.Hierarchy([]).to_dict() == Hierarchy(2).to_dict()
+
+
+@pytest.mark.parametrize("paths", [[(1, 2), (2, 3)], [(1, 3), (2, 3)], [(0, 1)]])
+def test_paths_that_span_no_tree_are_rejected(paths):
+    # an id at two levels, an id under two parents, the root's id below the root
+    with pytest.raises(ValueError, match="two levels or under two parents"):
+        hierarchy.Hierarchy(paths).to_dict()
 
 
 class TestSerialization:

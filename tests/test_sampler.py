@@ -31,6 +31,7 @@ from hiersbm.sampler import (
 )
 from hiersbm.stats import Hyperparameters, Schedule
 from test_stats import ncrp_path_prior
+from tree_oracle import tree_of
 
 
 def random_kg(n_entities, n_predicates, density, seed):
@@ -315,9 +316,8 @@ class TestPathMove:
         state = init_state(kg, hyper_with(depth=3), np.random.default_rng(5))
         for i in [0, 3, 1, 4, 2, 0]:
             sample_path(state, i)
-            state.h.validate()
-        report = audit_counts(state)
-        assert report.ok, report.message
+            report = audit_counts(state)
+            assert report.ok, report.message
 
     def test_conditional_probe_leaves_state_unchanged(self):
         # on this graph some removals prune a child that is not its parent's
@@ -405,17 +405,17 @@ def test_path_candidates_come_in_the_oracle_order(n, n_pred, depth, density, swe
         gibbs_iteration(state, deg)
     for i in range(n):
         specs, _ = path_conditional(state, i)
-        pruned = copy.deepcopy(state.h)
-        pruned.remove_path(tuple(int(c) for c in state.P[i]))
+        pruned = tree_of(np.delete(state.P, i, axis=0), depth, state.next_id)
         assert specs == list(ncrp_path_prior(pruned, hyper.gamma))
 
 
-def reference_sweep(state, degrees):
+def reference_sweep(state, tree, degrees):
     """``gibbs_iteration`` written move by move, as an oracle of its order and its RNG stream.
 
     Each open gate in (i, j, direction) order calls ``sample_level_indicator``;
     each open path move draws over the candidates in ``ncrp_path_prior``'s
-    order, with the probabilities ``path_conditional`` gives each spec.
+    order, with the probabilities ``path_conditional`` gives each spec, and
+    moves the path on the oracle ``tree``, which prunes and mints the ids.
     """
     E, s, rng = state.E, degrees.sampling_prob, state.rng
     gates = rng.random((E, E, 2))
@@ -430,11 +430,12 @@ def reference_sweep(state, degrees):
         if path_gates[i] < s[i]:
             prob = dict(zip(*path_conditional(state, i)))
             state._entity_pairs_apply(i, -1)
-            state.h.remove_path(tuple(int(c) for c in state.P[i]))
-            specs = list(ncrp_path_prior(state.h, state.hyper.gamma))
+            tree.remove_path(tuple(int(c) for c in state.P[i]))
+            specs = list(ncrp_path_prior(tree, state.hyper.gamma))
             u = rng.random() * sum(prob[spec] for spec in specs)
             cum = np.cumsum([prob[spec] for spec in specs])
-            state.P[i] = state.h.add_path(specs[min(int(np.sum(cum <= u)), len(specs) - 1)])
+            state.P[i] = tree.add_path(specs[min(int(np.sum(cum <= u)), len(specs) - 1)])
+            state.next_id = tree._next_id
             state._refresh_divergence_row(i)
             state._entity_pairs_apply(i, +1)
             state.path_resamples[i] += 1
@@ -462,12 +463,14 @@ def test_sweep_equals_a_move_by_move_reference(n, n_pred, depth, density, sweeps
     prob = np.random.default_rng(seed + 1).uniform(0.2, 0.9, n)
     deg = DegreeTable(degree=np.zeros(n, dtype=np.int64), sampling_prob=prob)
     twin = copy.deepcopy(state, {id(kg): kg})
+    tree = tree_of(twin.P, depth, twin.next_id)
     for _ in range(sweeps):
         gibbs_iteration(state, deg)
-        reference_sweep(twin, deg)
+        reference_sweep(twin, tree, deg)
     assert np.array_equal(state.P, twin.P)
+    assert state.next_id == twin.next_id
+    assert state.h.to_dict() == tree.to_dict()
     assert np.array_equal(state.Z, twin.Z)
-    assert state.h.to_dict() == twin.h.to_dict()
     assert state.rel == twin.rel
     assert state.ghist == twin.ghist
     assert state.rng.bit_generator.state == twin.rng.bit_generator.state
@@ -576,7 +579,6 @@ class TestGibbsIteration:
                 )
             report = audit_counts(state)
             assert report.ok, report.message
-            state.h.validate()
 
     def test_audit_after_long_run(self):
         kg = random_kg(6, 2, 0.35, 9)
@@ -586,7 +588,6 @@ class TestGibbsIteration:
             gibbs_iteration(state, deg)
         report = audit_counts(state)
         assert report.ok, report.message
-        state.h.validate()
 
     def test_audit_detects_perturbation(self):
         kg = random_kg(4, 1, 0.5, 10)
@@ -596,6 +597,39 @@ class TestGibbsIteration:
         report = audit_counts(state)
         assert not report.ok
         assert str(key) in report.message
+
+    @pytest.mark.parametrize("row,message", [
+        ("aac", "two levels or under two parents"),  # community a at levels 1 and 2
+        ("nbc", "two levels or under two parents"),  # community b under a and under n
+        ("abn", "not below next_id"),
+    ])
+    def test_audit_detects_a_broken_tree(self, row, message):
+        kg = random_kg(4, 1, 0.5, 10)
+        state = init_state(kg, hyper_with(depth=3, gamma=0.01), np.random.default_rng(10))
+        a, b, c = state.P[0].tolist()
+        assert (state.P == (a, b, c)).all()  # one shared path (a, b, c); n is the next id
+        ids = dict(a=a, b=b, c=c, n=state.next_id)
+        state.P[0] = [ids[k] for k in row]
+        state._recount_relations_into(state.rel)
+        report = audit_counts(state)
+        assert not report.ok
+        assert message in report.message
+
+
+def test_sampler_never_reuses_an_id_after_pruning():
+    kg = random_kg(6, 2, 0.4, 3)
+    state = init_state(kg, hyper_with(depth=3, gamma=3.0), np.random.default_rng(3))
+    ever = set(state.P.ravel().tolist())
+    pruned = 0
+    for step in range(120):
+        before, next_id = set(state.P.ravel().tolist()), state.next_id
+        sample_path(state, step % state.E)
+        now = set(state.P.ravel().tolist())
+        assert now - before == set(range(next_id, state.next_id))  # new communities take the next ids
+        assert not (now - before) & ever
+        pruned += len(before - now)
+        ever |= now
+    assert pruned > 0
 
 
 @st.composite
@@ -695,9 +729,10 @@ def pairwise_apply(state, i, sign):
 
 def move_entity(state, i, pick, redraw):
     """Give entity i, out of the counts, the ``pick``-th candidate path and fresh indicators in row and column i."""
-    state.h.remove_path(tuple(int(c) for c in state.P[i]))
-    specs = list(ncrp_path_prior(state.h, state.hyper.gamma))
-    state.P[i] = state.h.add_path(specs[pick % len(specs)])
+    tree = tree_of(np.delete(state.P, i, axis=0), state.L, state.next_id)
+    specs = list(ncrp_path_prior(tree, state.hyper.gamma))
+    state.P[i] = tree.add_path(specs[pick % len(specs)])
+    state.next_id = tree._next_id
     state._refresh_divergence_row(i)
     state.Z[i, :] = redraw[0]
     state.Z[:, i] = redraw[1]

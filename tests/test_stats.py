@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 from scipy.special import betaln, gammaln
 
-from hiersbm.hierarchy import ROOT_ID, Hierarchy, PathSpec
+from hiersbm.hierarchy import ROOT_ID, PathSpec
 from hiersbm.stats import (
     Hyperparameters,
     Schedule,
@@ -15,6 +15,7 @@ from hiersbm.stats import (
     log_beta_fn,
     log_evidence_terms,
 )
+from tree_oracle import Hierarchy
 
 GRID = np.linspace(0.0, 1.0, 10001)
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import tree_oracle
 from hiersbm.hierarchy import Hierarchy
 from hiersbm.stats import Hyperparameters
 from hiersbm.synth import (
@@ -10,10 +11,9 @@ from hiersbm.synth import (
     generate_sbt,
     load_ground_truth,
     sample_crp_table,
-    sample_ncrp_path,
+    sample_ncrp_paths,
     sample_stick,
     save_ground_truth,
-    save_latent_state,
     stick_weights,
 )
 
@@ -63,18 +63,51 @@ class TestCrp:
 
 class TestNcrpPath:
     def test_empty_tree_gives_fresh_chain(self):
-        h = Hierarchy(3)
-        path = sample_ncrp_path(h, 1.0, np.random.default_rng(0))
-        assert len(path) == 3
-        assert all(h.pass_count(c) == 1 for c in path)
+        assert sample_ncrp_paths(1, 3, 1.0, np.random.default_rng(0)) == [(1, 2, 3)]
 
     def test_registration_accumulates(self):
-        h = Hierarchy(2)
-        rng = np.random.default_rng(4)
-        for k in range(50):
-            sample_ncrp_path(h, 0.5, rng)
-        assert h.num_entities == 50
-        h.validate()
+        paths = sample_ncrp_paths(50, 2, 0.5, np.random.default_rng(4))
+        assert len(paths) == 50
+        assert Hierarchy(paths).to_dict()["pass_count"] == 50
+        ids = sorted({c for path in paths for c in path})
+        assert ids == list(range(1, len(ids) + 1))  # minted in order, none skipped
+
+
+@pytest.mark.parametrize("depth", [1, 2, 4])
+@pytest.mark.parametrize("gamma", [0.3, 1.0, 5.0])
+def test_sample_ncrp_paths_matches_the_tree_oracle(depth, gamma):
+    # draw for draw the seating of one entity at a time on the mutable tree
+    for seed in range(5):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        paths = sample_ncrp_paths(30, depth, gamma, rng)
+        h = tree_oracle.Hierarchy(depth)
+        assert paths == [tree_oracle.sample_ncrp_path(h, gamma, oracle_rng) for _ in range(30)]
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        assert Hierarchy(paths).to_dict() == h.to_dict()
+
+
+def test_forward_generate_relation_draws_match_the_tree_oracle():
+    # relation degrees are drawn parent by parent in ascending id order, each
+    # sibling group in the mutable tree's child order
+    n, num_predicates = 12, 2
+    for depth in (1, 2, 3):
+        hyper = Hyperparameters(gamma=1.5, mu=0.5, sigma=1.0, lam=0.7, eta=1.3, depth=depth)
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            h = tree_oracle.Hierarchy(depth)
+            paths = [tree_oracle.sample_ncrp_path(h, hyper.gamma, rng) for _ in range(n)]
+            for _ in range(n):
+                sample_stick(hyper.mu, hyper.sigma, depth, rng)
+            want = {}
+            for parent in sorted(c for c in h.community_ids(include_root=True) if h.children_of(c)):
+                siblings = h.children_of(parent)
+                for p in siblings:
+                    for q in siblings:
+                        for r in range(num_predicates):
+                            want[(p, q, r)] = float(rng.beta(hyper.lam, hyper.eta))
+            _, latent = forward_generate(hyper, n, num_predicates, np.random.default_rng(seed))
+            assert latent.paths == paths
+            assert list(latent.relations.items()) == list(want.items())
 
 
 class TestStick:
@@ -157,19 +190,14 @@ class TestForwardGenerate:
         se = float(np.std(densities, ddof=1) / math.sqrt(runs))
         assert abs(mean - lam / (lam + eta)) < 3 * se
 
-    def test_latent_state_consistency(self, tmp_path):
+    def test_latent_state_consistency(self):
         kg, latent = forward_generate(self._hyper(depth=3), 8, 2, np.random.default_rng(7))
         assert len(latent.paths) == 8
         assert latent.indicators.shape == (8, 8, 2)
         assert np.all((latent.indicators >= 1) & (latent.indicators <= 3))
-        latent.hierarchy.validate()
-        parents = {
-            (latent.hierarchy.node(a).parent, latent.hierarchy.node(b).parent)
-            for (a, b, _r) in latent.relations
-        }
-        assert all(pa == pb for pa, pb in parents)
-        save_latent_state(latent, tmp_path / "latent.json")
-        assert (tmp_path / "latent.json").stat().st_size > 0
+        tree_oracle.tree_of(latent.paths, 3, 1 + max(map(max, latent.paths)))  # validates the tree
+        parent = {c: p for path in latent.paths for p, c in zip((0, *path), path)}
+        assert all(parent[a] == parent[b] for (a, b, _r) in latent.relations)
 
 
 class TestGenerateSbt:
@@ -196,7 +224,10 @@ class TestGenerateSbt:
 
     def test_truth_refines_downward(self):
         _, truth = generate_sbt(4, 3, [0.0, 0.1, 0.4, 0.6], 1, np.random.default_rng(2))
-        truth.validate_refinement()
+        for l in range(2, truth.depth + 1):
+            parent_of = {}
+            for a in truth.assignments:  # each level-l cluster maps into one level-(l-1) cluster
+                assert parent_of.setdefault(a[l - 1], a[l - 2]) == a[l - 2]
 
     def test_bad_probs_rejected(self):
         rng = np.random.default_rng(0)
