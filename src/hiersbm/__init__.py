@@ -11,7 +11,7 @@ clustering metrics (:mod:`hiersbm.metrics`) and a command-line interface
 
 __version__ = "0.1.0"
 
-from .kgraph import KnowledgeGraph, DegreeTable, load_triples, degree_table, filter_triples
+from .kgraph import KnowledgeGraph, DegreeTable, load_triples, degree_table
 from .hierarchy import Hierarchy, divergence_level, coarsen
 from .stats import Hyperparameters, Schedule
 from .synth import generate_sbt, forward_generate
@@ -23,7 +23,6 @@ __all__ = [
     "DegreeTable",
     "load_triples",
     "degree_table",
-    "filter_triples",
     "Hierarchy",
     "divergence_level",
     "coarsen",

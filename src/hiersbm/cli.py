@@ -106,10 +106,12 @@ def _load_run_config(args) -> tuple[Hyperparameters, FsPath, FsPath, dict]:
     try:
         raw = args.config.read_text(encoding="utf-8")
         doc = json.loads(raw)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError("config must be a JSON object")
 
     model = {field: _config_get(doc, "model", key, required=True) for key, field in _MODEL_FIELDS.items()}
     level_prior_mode = _config_get(doc, "model", "level_prior_mode", default="stick")
@@ -126,6 +128,9 @@ def _load_run_config(args) -> tuple[Hyperparameters, FsPath, FsPath, dict]:
 
     input_path = args.input or _config_get(doc, "io", "input", required=True)
     output_dir = args.output_dir or _config_get(doc, "io", "output_dir", required=True)
+    for name, value in (("io.input", input_path), ("io.output_dir", output_dir)):
+        if not isinstance(value, (str, FsPath)):
+            raise ConfigError(f"{name} must be a path string, got {value!r}")
 
     try:
         hyper = Hyperparameters(
@@ -219,7 +224,7 @@ def cmd_fit(args) -> int:
     except TripleParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {input_path}: {exc}", file=sys.stderr)
         return DATA_ERROR
     if kg.num_entities == 0:

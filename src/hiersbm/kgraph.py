@@ -1,4 +1,4 @@
-"""Knowledge graph data model, TSV ingestion, degree statistics and filtering.
+"""Knowledge graph data model, TSV ingestion and degree statistics.
 
 A knowledge graph is held as dense entity/predicate dictionaries plus a sparse
 set of (subject, object, predicate) id triples.  The binary adjacency tensor is
@@ -19,7 +19,6 @@ __all__ = [
     "load_triples",
     "save_triples",
     "degree_table",
-    "filter_triples",
 ]
 
 
@@ -76,15 +75,6 @@ class KnowledgeGraph:
         for label, idx in self.predicates.items():
             out[idx] = label
         return out
-
-    def adjacency_value(self, i: int, j: int, r: int) -> int:
-        """Value of the adjacency tensor at (subject i, object j, predicate r)."""
-        ne, nr = len(self.entities), len(self.predicates)
-        if not (0 <= i < ne and 0 <= j < ne):
-            raise ValueError(f"entity id out of bounds: ({i}, {j}) with |E|={ne}")
-        if not (0 <= r < nr):
-            raise ValueError(f"predicate id out of bounds: {r} with |R|={nr}")
-        return 1 if (i, j, r) in self.triples else 0
 
     def dense_tensor(self) -> np.ndarray:
         """The full |E| x |E| x |R| binary tensor as uint8."""
@@ -157,31 +147,3 @@ def degree_table(kg: KnowledgeGraph) -> DegreeTable:
     smaller = np.searchsorted(order, degree, side="left")
     prob = (smaller + 1) / n
     return DegreeTable(degree=degree, sampling_prob=prob)
-
-
-def filter_triples(
-    kg: KnowledgeGraph,
-    keep_predicates: set[str] | None = None,
-    keep_subjects: set[str] | None = None,
-) -> KnowledgeGraph:
-    """Subset triples by predicate label and/or subject label.
-
-    ``None`` means "keep all" for that dimension; an empty set keeps nothing.
-    Ids are re-densified in first-appearance order over the retained triples,
-    dropping entities and predicates that no longer occur.
-    """
-    elab = kg.entity_labels
-    plab = kg.predicate_labels
-    entities: dict[str, int] = {}
-    predicates: dict[str, int] = {}
-    triples: set[tuple[int, int, int]] = set()
-    for i, j, r in sorted(kg.triples):
-        if keep_predicates is not None and plab[r] not in keep_predicates:
-            continue
-        if keep_subjects is not None and elab[i] not in keep_subjects:
-            continue
-        si = entities.setdefault(elab[i], len(entities))
-        oi = entities.setdefault(elab[j], len(entities))
-        ri = predicates.setdefault(plab[r], len(predicates))
-        triples.add((si, oi, ri))
-    return KnowledgeGraph(entities, predicates, triples)

@@ -1,5 +1,9 @@
 """Collapsed Gibbs engine: chain state, resampling moves, schedule, aggregation.
 
+A state is a function of the graph and its assignment, the paths ``P`` and
+the level indicators ``Z``: ``SamplerState(kg, hyper, rng, P, Z)`` builds the
+state of any assignment, and ``init_state`` draws one from the prior.
+
 The chain state keeps only what the moves read.  The entity paths ``P`` are
 the whole community tree: a community exists while some path passes through
 it, new communities take their ids from the counter ``next_id``, and ids are
@@ -15,10 +19,10 @@ entity's level mode is worked out from the indicators when a sample is taken.
 Every move scores its candidates with the collapsed formulas and the level
 model in ``stats``, against the counts with the moved contributions left out,
 and then writes the chosen configuration; ``audit_counts`` compares the
-incremental statistics against a from-scratch recount.  Candidate scoring runs
-in log space, and the log weights are shifted so that the largest is 0 before
-they are exponentiated, since candidate likelihood spreads exceed float range
-on dense graphs.
+incremental statistics with those of the state rebuilt from ``P`` and ``Z``.
+Candidate scoring runs in log space, and the log weights are shifted so that
+the largest is 0 before they are exponentiated, since candidate likelihood
+spreads exceed float range on dense graphs.
 
 A sweep's level pass finds the open gates with one array comparison, in
 (i, j, direction) order, and draws all their uniforms in one call (the same
@@ -54,7 +58,7 @@ levels take the next ids, top down.
 ``level_conditional`` and ``path_conditional`` return a move's exact
 conditional without making the move, so the state they are given is never
 written: the level probe runs the level move's read-only scorer, and the path
-probe removes and scores on a copy of the state.
+probe removes and scores on a state built from the same assignment.
 
 One chain owns one state exclusively; the full conditionals are sequential,
 so there is no intra-chain parallelism.  Independent chains differ only in
@@ -64,7 +68,6 @@ their results in chain order.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import multiprocessing
@@ -144,9 +147,16 @@ class AuditReport:
 
 
 class SamplerState:
-    """Mutable Markov-chain state over entity paths and level indicators."""
+    """Mutable Markov-chain state of one assignment of entity paths and level indicators.
 
-    def __init__(self, kg: KnowledgeGraph, hyper: Hyperparameters, rng: np.random.Generator):
+    It copies ``paths`` (E x depth community ids >= 1) and ``Z`` (E x E x 2
+    levels in 1..depth), so the caller's arrays are never written, and builds
+    the rest from them and the graph: ``G``, ``D``, ``rel``, ``ghist`` and
+    ``next_id = max(paths) + 1``.  The moves draw from ``rng``.  The paths are
+    taken to span a tree; ``audit_counts`` checks that.
+    """
+
+    def __init__(self, kg: KnowledgeGraph, hyper: Hyperparameters, rng: np.random.Generator, paths, Z):
         hyper.validate()
         if kg.num_entities < 1:
             raise ValueError("graph must have at least one entity")
@@ -158,10 +168,21 @@ class SamplerState:
         self.E = kg.num_entities
         self.R = kg.num_predicates
         self.L = hyper.depth
-        self._set_graph(kg.dense_tensor())
+        self.P = np.array(paths, dtype=np.int64)
+        self.Z = np.array(Z, dtype=np.int64)
+        if self.P.shape != (self.E, self.L) or self.Z.shape != (self.E, self.E, 2):
+            raise ValueError(
+                f"paths of shape {self.P.shape} and indicators of shape {self.Z.shape} do not fit "
+                f"{self.E} entities at depth {self.L}"
+            )
+        if self.P.min() < 1 or not 1 <= self.Z.min() <= self.Z.max() <= self.L:
+            raise ValueError(f"paths must hold community ids >= 1 and indicators levels in 1..{self.L}")
 
-        # Paths from the bare tree prior, entities seated in id order; new communities take next_id.
-        self.P = np.array(synth.sample_ncrp_paths(self.E, self.L, hyper.gamma, rng), dtype=np.int64)
+        # the graph as bytes, pair (x, y) at (x*E + y)*R; ``G`` is a read-only view of them
+        G = kg.dense_tensor()
+        self._g = G.tobytes()
+        self.G = np.frombuffer(self._g, dtype=np.uint8).reshape(G.shape)
+
         self.next_id = int(self.P.max()) + 1
         self.D = divergence_levels(self.P[:, None, :], self.P[None, :, :])
         # route_table[d][zs][zr] -> (sender level, receiver level); index 0 unused
@@ -175,15 +196,11 @@ class SamplerState:
             [[_by_route([table[o][l] for l in levels]) for o in range(self.L + 1)] for table in route_table],
         ]
 
-        # Indicators i.i.d. from the zero-count level prior.
-        cum = np.cumsum(stats.level_prior([0] * self.L, hyper))
-        self.Z = (np.searchsorted(cum, self.rng.random((self.E, self.E, 2))) + 1).astype(np.int64)
-        np.clip(self.Z, 1, self.L, out=self.Z)
-
-        self.rel: dict[tuple[int, int], list[int]] = {}
-        self._recount_relations_into(self.rel)
-        self.ghist = [0] * (self.L + 1)
-        self._recount_level_hist_into(self.ghist)
+        pairs, _, ones, totals = _routed_counts(self.P, self.Z, self.G)
+        self.rel: dict[tuple[int, int], list[int]] = dict(
+            zip(map(tuple, pairs.tolist()), np.column_stack([totals, ones]).tolist())
+        )
+        self.ghist = np.bincount(self.Z.ravel(), minlength=self.L + 1).tolist()
 
         self.iteration = 0
         self.trace: Trace = []
@@ -193,14 +210,6 @@ class SamplerState:
     def h(self) -> Hierarchy:
         """The community tree, a view of the paths."""
         return Hierarchy(self.P)
-
-    def _set_graph(self, G: np.ndarray) -> None:
-        """Install the E x E x R uint8 graph as bytes, pair (x, y) at (x*E + y)*R; the caller recounts.
-
-        ``G`` is a read-only view of those bytes, so the state holds one copy.
-        """
-        self._g = G.tobytes()
-        self.G = np.frombuffer(self._g, dtype=np.uint8).reshape(G.shape)
 
     # -- routing ---------------------------------------------------------
 
@@ -253,16 +262,6 @@ class SamplerState:
                 rel[key] = [c + v for c, v in zip(row, delta)]
             else:
                 del rel[key]
-
-    # -- from-scratch recounts (init and audits) ---------------------------
-
-    def _recount_relations_into(self, out: dict) -> None:
-        out.clear()
-        pairs, _, ones, totals = _routed_counts(self.P, self.Z, self.G)
-        out.update(zip(map(tuple, pairs.tolist()), np.column_stack([totals, ones]).tolist()))
-
-    def _recount_level_hist_into(self, ghist: list) -> None:
-        ghist[:] = np.bincount(self.Z.ravel(), minlength=self.L + 1).tolist()
 
     # -- conditional distributions ----------------------------------------
 
@@ -479,8 +478,18 @@ def _spec(path: np.ndarray) -> PathSpec:
 
 
 def init_state(kg: KnowledgeGraph, hyper: Hyperparameters, rng: np.random.Generator) -> SamplerState:
-    """Draw paths and indicators from their priors and build counts from scratch."""
-    return SamplerState(kg, hyper, rng)
+    """The state of an assignment drawn from the prior.
+
+    The paths are seated on the nested CRP in entity order, then every
+    indicator is drawn i.i.d. from the zero-count level prior with one
+    ``rng.random((E, E, 2))`` call; ``SamplerState`` builds the rest.
+    """
+    hyper.validate()
+    paths = synth.sample_ncrp_paths(kg.num_entities, hyper.depth, hyper.gamma, rng)
+    cum = np.cumsum(stats.level_prior([0] * hyper.depth, hyper))
+    Z = np.searchsorted(cum, rng.random((kg.num_entities, kg.num_entities, 2))) + 1
+    np.clip(Z, 1, hyper.depth, out=Z)
+    return SamplerState(kg, hyper, rng, paths, Z)
 
 
 def _level_move(state: SamplerState, i: int, j: int, direction: int, u: float) -> None:
@@ -554,11 +563,12 @@ def sample_path(state: SamplerState, i: int) -> None:
 def path_conditional(state: SamplerState, i: int) -> tuple[list[PathSpec], np.ndarray]:
     """Candidate path specs and their exact conditional probabilities.
 
-    The entity is removed and the candidates scored on a copy of the state, as
-    ``sample_path`` would, so the specs name communities of the other
-    entities' paths; the state passed in is never written.
+    The entity is removed and the candidates scored, as ``sample_path`` would,
+    on a probe built from the state's paths and indicators, so the specs name
+    communities of the other entities' paths; the state passed in is never
+    written.
     """
-    probe = copy.deepcopy(state, {id(state.kg): state.kg})  # the graph is never written
+    probe = SamplerState(state.kg, state.hyper, state.rng, state.P, state.Z)
     probe._entity_pairs_apply(i, -1)
     paths, logw = probe._path_node_scores(i)
     return [_spec(p) for p in paths], _normalized(np.exp(logw - logw.max()))
@@ -769,29 +779,35 @@ def _level_modes(Z: np.ndarray, L: int) -> list[int]:
 
 
 def audit_counts(state: SamplerState) -> AuditReport:
-    """Compare incremental statistics against a from-scratch recount, and check the tree the paths span.
+    """Check the tree the paths span, then compare the incremental state with one rebuilt from its assignment.
 
     Each community must sit at one level under one parent, and every id must
-    lie below ``next_id``.
+    lie below ``next_id``.  The count rows ``rel``, the level histogram
+    ``ghist`` and the divergence levels ``D`` must equal those of
+    ``SamplerState`` built from the state's paths and indicators.
     """
-    fresh: dict = {}
-    state._recount_relations_into(fresh)
-    empty = [0] * (state.R + 1)
-    for key in sorted(set(fresh) | set(state.rel)):
-        want = fresh.get(key, empty)
-        have = state.rel.get(key, empty)
-        if want != have:
-            return AuditReport(False, f"relation counts differ at pair {key}: recount {want}, incremental {have}")
-    ghist = [0] * (state.L + 1)
-    state._recount_level_hist_into(ghist)
-    if ghist != state.ghist:
-        return AuditReport(False, f"global level histogram differs: recount {ghist}, incremental {state.ghist}")
     try:
         state.h.to_dict()
     except ValueError as exc:
         return AuditReport(False, f"paths span no tree: {exc}")
     if state.P.max() >= state.next_id:
         return AuditReport(False, f"community {state.P.max()} is not below next_id {state.next_id}")
+    try:
+        fresh = SamplerState(state.kg, state.hyper, state.rng, state.P, state.Z)
+    except ValueError as exc:
+        return AuditReport(False, f"the assignment builds no state: {exc}")
+    empty = [0] * (state.R + 1)
+    for key in sorted(set(fresh.rel) | set(state.rel)):
+        want = fresh.rel.get(key, empty)
+        have = state.rel.get(key, empty)
+        if want != have:
+            return AuditReport(False, f"relation counts differ at pair {key}: recount {want}, incremental {have}")
+    if fresh.ghist != state.ghist:
+        return AuditReport(False, f"global level histogram differs: recount {fresh.ghist}, incremental {state.ghist}")
+    if not np.array_equal(fresh.D, state.D):
+        i, j = np.argwhere(fresh.D != state.D)[0].tolist()
+        want, have = fresh.D[i, j], state.D[i, j]
+        return AuditReport(False, f"divergence levels differ at pair {(i, j)}: recount {want}, incremental {have}")
     return AuditReport(True)
 
 

@@ -221,6 +221,27 @@ class TestFit:
         assert run_cli("fit", write_config(tmp_path, empty, tmp_path / "f")) == 2
         assert_one_line_error(capsys)
 
+    def test_non_utf8_input_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"a\tp\tb\n\xff\tp\tb\n")
+        assert run_cli("fit", write_config(tmp_path, bad, tmp_path / "f")) == 2
+        assert "cannot read" in assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("malform", ["not UTF-8", "a list", "a number as io.input"])
+    def test_malformed_config_is_config_error(self, tmp_path, sbt_dir, capsys, malform):
+        cfg = write_config(tmp_path, sbt_dir / "triples.tsv", tmp_path / "f")
+        config = json.loads(cfg.read_text())
+        if malform == "not UTF-8":
+            cfg.write_bytes(cfg.read_bytes().replace(b'"stick"', b'"st\xffck"'))
+        elif malform == "a list":
+            cfg.write_text(json.dumps([config]), encoding="utf-8")
+        else:
+            config["io"]["input"] = 5
+            cfg.write_text(json.dumps(config), encoding="utf-8")
+        assert run_cli("fit", cfg) == 1
+        assert assert_one_line_error(capsys).startswith("config error: ")
+        assert not (tmp_path / "f").exists()
+
     def test_output_dir_below_a_file(self, tmp_path, sbt_dir, capsys):
         afile = tmp_path / "afile"
         afile.write_text("", encoding="utf-8")

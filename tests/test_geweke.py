@@ -15,8 +15,8 @@ import numpy as np
 
 from hiersbm import synth
 from hiersbm.hierarchy import route_pairs
-from hiersbm.kgraph import DegreeTable
-from hiersbm.sampler import gibbs_iteration, init_state
+from hiersbm.kgraph import DegreeTable, KnowledgeGraph
+from hiersbm.sampler import SamplerState, gibbs_iteration, init_state
 from hiersbm.stats import Hyperparameters
 
 E, R, DRAWS, BATCHES = 4, 2, 6000, 30
@@ -43,11 +43,12 @@ def statistics(P, G):
 
 
 def redraw_graph(state, rng):
-    """Draw G given the state's paths and indicators, then recount."""
+    """The state of the same paths and indicators on a graph drawn given them."""
     pairs, index = route_pairs(state.P, state.Z[:, :, 0], state.Z[:, :, 1])
     theta = rng.beta(HYPER.lam, HYPER.eta, size=(len(pairs), R))
-    state._set_graph((rng.random((E, E, R)) < theta[index]).astype(np.uint8))
-    state._recount_relations_into(state.rel)
+    triples = set(map(tuple, np.argwhere(rng.random((E, E, R)) < theta[index]).tolist()))
+    kg = KnowledgeGraph(state.kg.entities, state.kg.predicates, triples)
+    return SamplerState(kg, HYPER, state.rng, state.P, state.Z)
 
 
 def test_geweke_depth_1():
@@ -59,13 +60,13 @@ def test_geweke_depth_1():
     forward = np.array(forward)
 
     kg, _ = synth.forward_generate(HYPER, E, R, rng)
-    state = init_state(kg, HYPER, rng)
-    redraw_graph(state, rng)  # paths from the prior and G given them: a draw from the joint
+    # paths from the prior and G given them: a draw from the joint
+    state = redraw_graph(init_state(kg, HYPER, rng), rng)
     gates = DegreeTable(degree=np.zeros(E, dtype=np.int64), sampling_prob=np.ones(E))
     chain = []
     for _ in range(DRAWS):
         gibbs_iteration(state, gates)
-        redraw_graph(state, rng)
+        state = redraw_graph(state, rng)
         chain.append(statistics(state.P, state.G))
     chain = np.array(chain)
 

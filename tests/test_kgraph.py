@@ -5,7 +5,6 @@ from hiersbm.kgraph import (
     KnowledgeGraph,
     TripleParseError,
     degree_table,
-    filter_triples,
     load_triples,
     save_triples,
 )
@@ -77,32 +76,30 @@ class TestAdjacency:
     def test_present_edge(self, toy_kg):
         e = toy_kg.entities
         r = toy_kg.predicates
-        assert toy_kg.adjacency_value(e["e5"], e["e6"], r["r0"]) == 1
+        assert toy_kg.dense_tensor()[e["e5"], e["e6"], r["r0"]] == 1
 
     def test_absent_diagonal(self, toy_kg):
         e = toy_kg.entities
         r = toy_kg.predicates
-        assert toy_kg.adjacency_value(e["e0"], e["e0"], r["r0"]) == 0
+        assert toy_kg.dense_tensor()[e["e0"], e["e0"], r["r0"]] == 0
 
     def test_empty_graph(self):
         kg = KnowledgeGraph({"a": 0}, {"p": 0}, set())
-        assert kg.adjacency_value(0, 0, 0) == 0
+        assert kg.dense_tensor().tolist() == [[[0]]]
 
-    def test_out_of_bounds(self, toy_kg):
-        with pytest.raises(ValueError):
-            toy_kg.adjacency_value(0, 99, 0)
-        with pytest.raises(ValueError):
-            toy_kg.adjacency_value(0, 0, 99)
+    def test_out_of_bounds(self):
+        # the graph holds no triple outside its dictionaries, so every triple has a cell
+        with pytest.raises(ValueError, match="out of dictionary bounds"):
+            KnowledgeGraph({"a": 0}, {"p": 0}, {(0, 1, 0)})
+        with pytest.raises(ValueError, match="out of dictionary bounds"):
+            KnowledgeGraph({"a": 0}, {"p": 0}, {(0, 0, 1)})
 
     def test_ones_count_matches_triples(self, toy_kg):
-        n, r = toy_kg.num_entities, toy_kg.num_predicates
-        ones = sum(
-            toy_kg.adjacency_value(i, j, k)
-            for i in range(n)
-            for j in range(n)
-            for k in range(r)
-        )
-        assert ones == len(toy_kg.triples)
+        g = toy_kg.dense_tensor()
+        assert g.shape == (toy_kg.num_entities, toy_kg.num_entities, toy_kg.num_predicates)
+        assert g.dtype == np.uint8
+        assert g.sum() == len(toy_kg.triples)
+        assert set(map(tuple, np.argwhere(g).tolist())) == toy_kg.triples
 
 
 class TestDegreeTable:
@@ -156,34 +153,6 @@ class TestDegreeTable:
     def test_degree_sum_identity(self, toy_kg):
         table = degree_table(toy_kg)
         assert table.degree.sum() == 2 * len(toy_kg.triples)
-
-
-class TestFilterTriples:
-    def test_identity_filter(self, toy_kg):
-        out = filter_triples(toy_kg)
-        assert len(out.triples) == len(toy_kg.triples)
-        assert set(out.entities) == set(toy_kg.entities)
-        assert set(out.predicates) == set(toy_kg.predicates)
-
-    def test_empty_predicate_set(self, toy_kg):
-        out = filter_triples(toy_kg, keep_predicates=set())
-        assert out.num_entities == 0
-        assert len(out.triples) == 0
-
-    def test_predicate_selection(self, toy_kg):
-        out = filter_triples(toy_kg, keep_predicates={"r0"})
-        assert len(out.triples) == 3
-        assert set(out.predicates) == {"r0"}
-        assert set(out.entities) == {"e5", "e6", "e7"}
-
-    def test_subject_selection(self, toy_kg):
-        out = filter_triples(toy_kg, keep_subjects={"e5"})
-        assert len(out.triples) == 3
-        assert all(lbl in out.entities for lbl in ("e5", "e6", "e2", "e4"))
-
-    def test_ids_redensified(self, toy_kg):
-        out = filter_triples(toy_kg, keep_predicates={"r2"})
-        assert sorted(out.entities.values()) == list(range(out.num_entities))
 
 
 def test_save_load_round_trip(toy_kg, tmp_path):

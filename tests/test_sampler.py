@@ -13,6 +13,7 @@ from hiersbm import sampler, stats, synth
 from hiersbm.hierarchy import coarsen
 from hiersbm.kgraph import KnowledgeGraph, degree_table
 from hiersbm.sampler import (
+    SamplerState,
     aggregate,
     audit_counts,
     complete_log_likelihood,
@@ -67,7 +68,7 @@ def joint_log_likelihood(kg, hyper, paths, Z):
             for r in range(n_pred):
                 key = coarsen(paths[i], zi, paths[j], zj, r)
                 entry = counts.setdefault(key, [0, 0])
-                entry[0 if kg.adjacency_value(i, j, r) else 1] += 1
+                entry[0 if (i, j, r) in kg.triples else 1] += 1
     base = math.lgamma(lam) + math.lgamma(eta) - math.lgamma(lam + eta)
     total = 0.0
     for ones, zeros in counts.values():
@@ -144,6 +145,33 @@ class TestInitState:
             state = init_state(kg, hyper_with(), np.random.default_rng(seed))
             report = audit_counts(state)
             assert report.ok, report.message
+
+    @pytest.mark.parametrize("entities,predicates,message", [
+        ({}, {"p": 0}, "at least one entity"),
+        ({"a": 0}, {}, "at least one predicate"),
+    ])
+    def test_empty_graph_rejected(self, entities, predicates, message):
+        with pytest.raises(ValueError, match=message):
+            init_state(KnowledgeGraph(entities, predicates, set()), hyper_with(), np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "change", ["paths of another depth", "indicators of another size", "level 0", "level 4", "id 0"]
+    )
+    def test_assignment_that_does_not_fit_rejected(self, change):
+        kg = random_kg(3, 1, 0.5, 0)
+        hyper = hyper_with(depth=3)
+        state = init_state(kg, hyper, np.random.default_rng(0))
+        P, Z = state.P, state.Z
+        if change == "paths of another depth":
+            P = P[:, :2]
+        elif change == "indicators of another size":
+            Z = Z[:2, :2]
+        elif change == "id 0":
+            P = np.where(P == P[0, 0], 0, P)
+        else:
+            Z = np.where(Z == Z[1, 2, 0], int(change[-1]), Z)
+        with pytest.raises(ValueError, match="do not fit|ids >= 1 and indicators levels in 1..3"):
+            SamplerState(kg, hyper, state.rng, P, Z)
 
     def test_incident_histogram_totals(self):
         kg = random_kg(5, 1, 0.5, 3)
@@ -258,17 +286,17 @@ class TestLevelIndicatorMove:
     def test_empirical_frequencies_match_conditional(self):
         kg = random_kg(2, 1, 0.7, 4)
         state = init_state(kg, hyper_with(depth=2), np.random.default_rng(6))
-        baseline = int(state.Z[0, 1, 0])
+        Z = state.Z.copy()
+        baseline = int(Z[0, 1, 0])
         want = level_conditional(state, 0, 1, 0)
         draws = 20000
         hits = np.zeros(2)
         for _ in range(draws):
             sample_level_indicator(state, 0, 1, 0)
             hits[int(state.Z[0, 1, 0]) - 1] += 1
-            # restore the conditioning state before the next draw
-            state.Z[0, 1, 0] = baseline
-            state._recount_relations_into(state.rel)
-            state._recount_level_hist_into(state.ghist)
+            assert Z[0, 1, 0] == baseline  # the move wrote the state's own copy of Z
+            # the conditioning state again, for the next draw
+            state = SamplerState(kg, state.hyper, state.rng, state.P, Z)
         assert audit_counts(state).ok
         freq = hits / draws
         for k in range(2):
@@ -597,6 +625,16 @@ class TestGibbsIteration:
         report = audit_counts(state)
         assert not report.ok
         assert str(key) in report.message
+        state.rel[key][0] -= 1
+        state.D[0, 1] += 1
+        report = audit_counts(state)
+        assert not report.ok
+        assert "divergence levels differ at pair (0, 1)" in report.message
+        state.D[0, 1] -= 1
+        state.Z[1, 0, 1] = 0
+        report = audit_counts(state)
+        assert not report.ok
+        assert "builds no state" in report.message
 
     @pytest.mark.parametrize("row,message", [
         ("aac", "two levels or under two parents"),  # community a at levels 1 and 2
@@ -610,7 +648,6 @@ class TestGibbsIteration:
         assert (state.P == (a, b, c)).all()  # one shared path (a, b, c); n is the next id
         ids = dict(a=a, b=b, c=c, n=state.next_id)
         state.P[0] = [ids[k] for k in row]
-        state._recount_relations_into(state.rel)
         report = audit_counts(state)
         assert not report.ok
         assert message in report.message
@@ -659,7 +696,11 @@ def test_counts_exact_and_log_likelihood_finite_after_every_move(case):
         apply_move(state, move)
         report = audit_counts(state)
         assert report.ok, report.message
-        assert len(state.rel) == len(sampler._routed_counts(state.P, state.Z, state.G)[0])
+        fresh = SamplerState(kg, hyper, state.rng, state.P, state.Z)
+        assert fresh.rel == state.rel  # no row left at zero pairs
+        assert fresh.ghist == state.ghist
+        assert np.array_equal(fresh.D, state.D)
+        assert complete_log_likelihood(fresh) == complete_log_likelihood(state)
         assert math.isfinite(complete_log_likelihood(state))
 
 
@@ -679,11 +720,7 @@ def test_log_likelihood_invariant_to_entity_relabeling(case, random):
         {f"r{r}": r for r in range(state.R)},
         {(new_id[i], new_id[j], r) for i, j, r in kg.triples},
     )
-    other = init_state(renamed, hyper, np.random.default_rng(seed))
-    other.P[:] = state.P[perm]
-    other.Z[:] = state.Z[np.ix_(perm, perm)]
-    other._recount_relations_into(other.rel)
-    other._recount_level_hist_into(other.ghist)
+    other = SamplerState(renamed, hyper, np.random.default_rng(seed), state.P[perm], state.Z[np.ix_(perm, perm)])
     assert complete_log_likelihood(other) == complete_log_likelihood(state)
 
 
@@ -736,7 +773,7 @@ def move_entity(state, i, pick, redraw):
     state._refresh_divergence_row(i)
     state.Z[i, :] = redraw[0]
     state.Z[:, i] = redraw[1]
-    state._recount_level_hist_into(state.ghist)
+    state.ghist = SamplerState(state.kg, state.hyper, state.rng, state.P, state.Z).ghist
 
 
 @settings(max_examples=100, deadline=None)
