@@ -93,8 +93,8 @@ _MODEL_FIELDS = {"gamma": "gamma", "mu": "mu", "sigma": "sigma", "lambda": "lam"
 
 
 def _config_int(name: str, value) -> int:
-    """An integer config value; a number with a fractional part is an error, not truncated."""
-    if isinstance(value, float) and not value.is_integer():
+    """An integer config value; a boolean or a number with a fractional part is an error, not converted."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     try:
         return int(value)

@@ -1,9 +1,16 @@
 """Knowledge graph data model, TSV ingestion and degree statistics.
 
-A knowledge graph is held as dense entity/predicate dictionaries plus a sparse
-set of (subject, object, predicate) id triples.  The binary adjacency tensor is
-implicit: a triple's presence means a one, absence means a zero.  Self-loops
-are permitted; duplicate triples collapse under set semantics.
+A knowledge graph is held as dense entity/predicate dictionaries plus the
+array of its ones: a read-only (T, 3) int64 array of (subject, object,
+predicate) id rows, sorted and free of duplicates.  The binary adjacency
+tensor is implicit: a row's presence means a one, absence means a zero.
+Self-loops are permitted; duplicate triples collapse to one row.
+
+Every pass over the graph is one numpy step over those rows and costs O(T):
+the constructor's bounds check and duplicate removal (one sort of the packed
+keys ``(s*E + o)*R + r``), the degrees (two ``bincount`` calls), and the
+sampler's count of the ones per sibling pair.  Only ``dense_tensor`` pays for
+all E x E x R cells; the sampler's moves read it, and no read-out does.
 """
 
 from __future__ import annotations
@@ -31,18 +38,22 @@ class TripleParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass
+@dataclass(eq=False)
 class KnowledgeGraph:
-    """Entity/predicate dictionaries plus the sparse triple set.
+    """Entity/predicate dictionaries plus the array of the graph's ones.
 
     ``entities`` and ``predicates`` map labels to dense ids assigned in
-    first-appearance order.  Instances are treated as immutable once
-    constructed; concurrent reads are safe.
+    first-appearance order.  The constructor takes ``triples`` as any
+    iterable of (subject, object, predicate) id triples or any (T, 3) integer
+    array, and keeps them as a read-only (T, 3) int64 array, its rows sorted
+    and distinct.  Instances are treated as immutable once constructed;
+    concurrent reads are safe.  Two graphs are equal only if they are the
+    same object.
     """
 
     entities: dict[str, int]
     predicates: dict[str, int]
-    triples: set[tuple[int, int, int]]
+    triples: np.ndarray
 
     def __post_init__(self):
         ne, nr = len(self.entities), len(self.predicates)
@@ -50,9 +61,23 @@ class KnowledgeGraph:
             raise ValueError("entity ids must be dense 0..|E|-1")
         if sorted(self.predicates.values()) != list(range(nr)):
             raise ValueError("predicate ids must be dense 0..|R|-1")
-        for i, j, r in self.triples:
-            if not (0 <= i < ne and 0 <= j < ne and 0 <= r < nr):
-                raise ValueError(f"triple {(i, j, r)} out of dictionary bounds")
+        if ne * ne * nr >= 2**63:
+            raise ValueError(f"{ne} entities and {nr} predicates have more cells than an int64 key can number")
+        t = self.triples
+        t = np.asarray(t if isinstance(t, np.ndarray) else list(t), dtype=np.int64)
+        if t.size == 0:
+            t = t.reshape(0, 3)
+        if t.ndim != 2 or t.shape[1] != 3:
+            raise ValueError(f"triples must be (subject, object, predicate) rows, got shape {t.shape}")
+        s, o, r = t.T
+        bad = (s < 0) | (s >= ne) | (o < 0) | (o >= ne) | (r < 0) | (r >= nr)
+        if bad.any():
+            raise ValueError(f"triple {tuple(t[bad][0].tolist())} out of dictionary bounds")
+        keys = np.sort((s * ne + o) * nr + r)
+        keys = keys[np.diff(keys, prepend=-1) > 0]  # sorted, so a repeat follows its first copy
+        subject, rest = np.divmod(keys, ne * nr)
+        self.triples = np.column_stack([subject, *np.divmod(rest, nr)])
+        self.triples.flags.writeable = False
 
     @property
     def num_entities(self) -> int:
@@ -79,8 +104,7 @@ class KnowledgeGraph:
     def dense_tensor(self) -> np.ndarray:
         """The full |E| x |E| x |R| binary tensor as uint8."""
         g = np.zeros((self.num_entities, self.num_entities, self.num_predicates), dtype=np.uint8)
-        for i, j, r in self.triples:
-            g[i, j, r] = 1
+        g[tuple(self.triples.T)] = 1
         return g
 
 
@@ -102,13 +126,14 @@ def load_triples(path) -> KnowledgeGraph:
     """Parse a UTF-8 TSV file of ``subject<TAB>predicate<TAB>object`` lines.
 
     Lines starting with '#' and blank lines are ignored.  Ids are assigned in
-    first-appearance order; duplicated lines collapse to a single triple.
+    first-appearance order and collected line by line into one id array;
+    duplicated lines collapse to a single triple.
     Raises :class:`TripleParseError` with the offending line number on a
     malformed line, and propagates I/O errors for unreadable files.
     """
     entities: dict[str, int] = {}
     predicates: dict[str, int] = {}
-    triples: set[tuple[int, int, int]] = set()
+    ids: list[int] = []  # subject, object, predicate per line
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -121,17 +146,18 @@ def load_triples(path) -> KnowledgeGraph:
             si = entities.setdefault(subj, len(entities))
             oi = entities.setdefault(obj, len(entities))
             ri = predicates.setdefault(pred, len(predicates))
-            triples.add((si, oi, ri))
-    return KnowledgeGraph(entities, predicates, triples)
+            ids += (si, oi, ri)
+    return KnowledgeGraph(entities, predicates, np.array(ids, dtype=np.int64).reshape(-1, 3))
 
 
 def save_triples(kg: KnowledgeGraph, path) -> None:
-    """Write the graph in the TSV triple format, sorted by ids for stable output."""
-    elab = kg.entity_labels
-    plab = kg.predicate_labels
+    """Write the graph in the TSV triple format, in the rows' (subject, object, predicate) id order."""
+    elab = np.array(kg.entity_labels, dtype=object)
+    plab = np.array(kg.predicate_labels, dtype=object)
+    s, o, r = kg.triples.T
+    lines = elab[s] + "\t" + plab[r] + "\t" + elab[o] + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        for i, j, r in sorted(kg.triples):
-            fh.write(f"{elab[i]}\t{plab[r]}\t{elab[j]}\n")
+        fh.write("".join(lines.tolist()))
 
 
 def degree_table(kg: KnowledgeGraph) -> DegreeTable:
@@ -139,10 +165,7 @@ def degree_table(kg: KnowledgeGraph) -> DegreeTable:
     n = kg.num_entities
     if n < 1:
         raise ValueError("degree_table requires at least one entity")
-    degree = np.zeros(n, dtype=np.int64)
-    for i, j, _ in kg.triples:
-        degree[i] += 1
-        degree[j] += 1
+    degree = np.bincount(kg.triples[:, 0], minlength=n) + np.bincount(kg.triples[:, 1], minlength=n)
     order = np.sort(degree)
     smaller = np.searchsorted(order, degree, side="left")
     prob = (smaller + 1) / n

@@ -196,7 +196,7 @@ class SamplerState:
             [[_by_route([table[o][l] for l in levels]) for o in range(self.L + 1)] for table in route_table],
         ]
 
-        pairs, _, ones, totals = _routed_counts(self.P, self.Z, self.G)
+        pairs, _, ones, totals = _routed_counts(self.P, self.Z, kg.triples, self.R)
         self.rel: dict[tuple[int, int], list[int]] = dict(
             zip(map(tuple, pairs.tolist()), np.column_stack([totals, ones]).tolist())
         )
@@ -416,18 +416,21 @@ class SamplerState:
         return paths[walk], np.concatenate([leaf_score[leaves], new_score[inner]])[walk]
 
 
-def _routed_counts(P: np.ndarray, Z: np.ndarray, G: np.ndarray):
-    """Route every pair of ``P`` at indicators ``Z`` and count ``G`` per sibling pair.
+def _routed_counts(P: np.ndarray, Z: np.ndarray, triples: np.ndarray, R: int):
+    """Route every pair of ``P`` at indicators ``Z`` and count the graph's ones per sibling pair.
 
-    Returns ``route_pairs``' K pairs (sorted) and E x E index, the K x R
-    one-counts and the K totals.
+    ``triples`` holds the graph's ones as (subject, object, predicate) rows,
+    subjects and objects indexing the rows of ``P``, each cell at most once;
+    ``R`` is the number of predicates.  Routing costs O(E^2) and the ones
+    are counted in O(T), one ``bincount`` of ``index[s, o] * R + r``, so no
+    E x E x R array is read.  Returns ``route_pairs``' K pairs (sorted) and
+    E x E index, the K x R one-counts and the K totals.
     """
     pairs, index = route_pairs(P, Z[:, :, SENDER], Z[:, :, RECEIVER])
-    K, R = len(pairs), G.shape[2]
-    flat = index.ravel()
-    totals = np.bincount(flat, minlength=K)
-    keys = (flat[:, None] * R + np.arange(R)).ravel()
-    ones = np.bincount(keys, weights=G.reshape(-1), minlength=K * R).astype(np.int64).reshape(K, R)
+    K = len(pairs)
+    s, o, r = triples.T
+    ones = np.bincount(index[s, o] * R + r, minlength=K * R).reshape(K, R)
+    totals = np.bincount(index.ravel(), minlength=K)
     return pairs, index, ones, totals
 
 
@@ -815,12 +818,18 @@ def audit_counts(state: SamplerState) -> AuditReport:
 
 
 def _sample_means(sample: PosteriorSample, kg: KnowledgeGraph, lam: float, eta: float):
-    """Routed pairs, their E x E index and the K x R posterior means of a sample."""
+    """Routed pairs, their E x E index and the K x R posterior means of a sample.
+
+    The graph's entities may be a superset of the sample's, in any order: the
+    ones among the sample's entities are counted at their sample positions.
+    """
     missing = [lab for lab in sample.entity_labels if lab not in kg.entities]
     if missing:
         raise ValueError(f"sample entities missing from the graph: {missing}")
     gid = [kg.entities[lab] for lab in sample.entity_labels]
     n, R = len(gid), kg.num_predicates
+    if len(set(gid)) < n:
+        raise ValueError("sample entity labels repeat")
     if n == 0:
         return np.empty((0, 2), dtype=np.int64), np.empty((0, 0), dtype=np.int64), np.empty((0, R))
     if sample.indicators is not None:
@@ -828,7 +837,12 @@ def _sample_means(sample: PosteriorSample, kg: KnowledgeGraph, lam: float, eta: 
     else:
         levels = np.asarray(sample.levels, dtype=np.int64)
         Z = np.stack(np.broadcast_arrays(levels[:, None], levels[None, :]), axis=2)
-    pairs, index, ones, totals = _routed_counts(sample.paths, Z, kg.dense_tensor()[np.ix_(gid, gid)])
+    at = np.full(kg.num_entities, -1)  # sample position of each graph entity, -1 if not in the sample
+    at[gid] = np.arange(n)
+    s, o = at[kg.triples[:, 0]], at[kg.triples[:, 1]]
+    inside = (s >= 0) & (o >= 0)
+    cells = np.column_stack([s[inside], o[inside], kg.triples[inside, 2]])
+    pairs, index, ones, totals = _routed_counts(sample.paths, Z, cells, R)
     return pairs, index, (ones + lam) / (totals[:, None] + lam + eta)
 
 
@@ -901,8 +915,9 @@ def load_sample_json(path) -> PosteriorSample:
     """Read a sample that ``write_sample_json`` wrote, with its indicators if they lie beside it.
 
     Raises ``ValueError`` for a file that holds no such sample: JSON of the
-    wrong shape, paths of unequal length, a level outside 1..depth, or a tree
-    that is not the one the entity paths span.
+    wrong shape, paths of unequal length, a level outside 1..depth, a tree
+    that is not the one the entity paths span, or an indicators file that
+    holds no .npy array of E x E x 2 levels in 1..depth.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -929,8 +944,13 @@ def load_sample_json(path) -> PosteriorSample:
     if doc.get("tree") != tree:
         raise ValueError("the sample's tree is not the tree its entity paths span")
     indicators = None
-    if _indicators_path(path).exists():
-        indicators = np.load(_indicators_path(path)).astype(np.int64)
+    indicators_path = _indicators_path(path)
+    if indicators_path.exists():
+        with open(indicators_path, "rb") as fh:
+            try:
+                indicators = np.lib.format.read_array(fh).astype(np.int64)
+            except ValueError as exc:  # empty, not .npy, truncated, or object data
+                raise ValueError(f"indicators file {indicators_path} holds no .npy array: {exc}") from exc
         if indicators.shape != (n, n, 2):
             raise ValueError(f"indicators file has shape {indicators.shape}, expected {(n, n, 2)}")
         if n and not 1 <= indicators.min() <= indicators.max() <= depth:

@@ -186,12 +186,11 @@ def forward_generate(
     theta = np.array([[relations[(a, b, r)] for r in range(num_predicates)] for a, b in pairs.tolist()])
     # one uniform per (i, j, r) in row-major order, the stream of a per-cell loop
     draws = rng.random((num_entities, num_entities, num_predicates)) < theta[index]
-    triples = set(zip(*(idx.tolist() for idx in np.nonzero(draws))))
 
     kg = KnowledgeGraph(
         entities={f"e{i}": i for i in range(num_entities)},
         predicates={f"r{r}": r for r in range(num_predicates)},
-        triples=triples,
+        triples=np.argwhere(draws),
     )
     return kg, LatentState(paths, memberships, indicators, relations)
 
@@ -240,13 +239,11 @@ def generate_sbt(
     pair_prob = np.where(xor == 0, 1.0, probs[np.minimum(lca_level, depth - 1)])
 
     draws = rng.random((n, n, num_predicates)) < pair_prob[:, :, None]
-    si, oi, ri = np.nonzero(draws)
-    triples = set(zip(si.tolist(), oi.tolist(), ri.tolist()))
 
     kg = KnowledgeGraph(
         entities={f"e{i}": i for i in range(n)},
         predicates={f"r{r}": r for r in range(num_predicates)},
-        triples=triples,
+        triples=np.argwhere(draws),
     )
     assignments = []
     for i in range(n):

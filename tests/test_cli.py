@@ -249,7 +249,9 @@ class TestFit:
         assert run_cli("fit", cfg) == 1
         assert_one_line_error(capsys)
 
-    @pytest.mark.parametrize("section,key,value", [("model", "depth", 2.7), ("schedule", "iterations", 6.9)])
+    @pytest.mark.parametrize(
+        "section,key,value", [("model", "depth", 2.7), ("schedule", "iterations", 6.9), ("schedule", "chains", True)]
+    )
     def test_non_integral_config_integer(self, tmp_path, sbt_dir, capsys, section, key, value):
         cfg = write_config(tmp_path, sbt_dir / "triples.tsv", tmp_path / "f")
         config = json.loads(cfg.read_text())
@@ -364,6 +366,16 @@ class TestRender:
                      ("relations", bad, sbt_dir / "triples.tsv", "--out", tmp_path / "r.csv")):
             assert run_cli(*args) == 2, args
             assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("content", [b"", b"\x93N"], ids=["empty", "two-bytes"])
+    def test_unreadable_indicators_file_is_data_error(self, tmp_path, fit_dir, sbt_dir, capsys, content):
+        point = fit_dir / "point_estimate_chain0.json"
+        (fit_dir / "point_estimate_chain0.indicators.npy").write_bytes(content)
+        for args in (("render", point), ("eval", point, sbt_dir / "truth.tsv", "--out-dir", tmp_path / "m"),
+                     ("relations", point, sbt_dir / "triples.tsv", "--out", tmp_path / "r.csv")):
+            assert run_cli(*args) == 2, args
+            err = assert_one_line_error(capsys)
+            assert "point_estimate_chain0.indicators.npy" in err and "pickled" not in err, err
 
 
 class TestRelations:

@@ -9,6 +9,42 @@ from hiersbm.kgraph import (
     save_triples,
 )
 
+
+def triple_set(kg):
+    """The graph's ones as a set of (subject, object, predicate) tuples.
+
+    ``(i, j, r) in kg.triples`` on the (T, 3) array tests elements, not rows,
+    so tests that read the ones as a set read this view.
+    """
+    return set(map(tuple, kg.triples.tolist()))
+
+
+def dense_tensor_loop(kg):
+    """Reference ``dense_tensor``: one write per triple."""
+    g = np.zeros((kg.num_entities, kg.num_entities, kg.num_predicates), dtype=np.uint8)
+    for i, j, r in kg.triples.tolist():
+        g[i, j, r] = 1
+    return g
+
+
+def degree_loop(kg):
+    """Reference ``degree_table``: degrees one triple at a time, ranks one entity at a time."""
+    degree = [0] * kg.num_entities
+    for i, j, _ in kg.triples.tolist():
+        degree[i] += 1
+        degree[j] += 1
+    prob = [(sum(d < own for d in degree) + 1) / len(degree) for own in degree]
+    return degree, prob
+
+
+def random_triples(n_entities, n_predicates, count, seed):
+    """``count`` uniform triples as a list: repeats and self-loops included, every self-loop repeated."""
+    rng = np.random.default_rng(seed)
+    drawn = rng.integers(0, [n_entities, n_entities, n_predicates], size=(count, 3)).tolist()
+    loops = [(i, i, r) for i, _, r in drawn[: count // 4]]
+    return [tuple(t) for t in drawn] + loops + loops
+
+
 # Small directed graph used throughout: three predicates, one mutual edge,
 # one self-free diagonal.
 TOY_LINES = [
@@ -99,7 +135,48 @@ class TestAdjacency:
         assert g.shape == (toy_kg.num_entities, toy_kg.num_entities, toy_kg.num_predicates)
         assert g.dtype == np.uint8
         assert g.sum() == len(toy_kg.triples)
-        assert set(map(tuple, np.argwhere(g).tolist())) == toy_kg.triples
+        assert set(map(tuple, np.argwhere(g).tolist())) == triple_set(toy_kg)
+
+
+# (entities, predicates, triples drawn): sparse, dense with many repeats, one entity, and empty graphs
+GRAPHS = [(9, 4, 40, 0), (5, 2, 120, 1), (1, 3, 10, 2), (6, 3, 0, 3), (1, 1, 0, 4)]
+
+
+class TestTripleArray:
+    @pytest.mark.parametrize("n, n_pred, count, seed", GRAPHS)
+    def test_rows_are_the_sorted_distinct_triples(self, n, n_pred, count, seed):
+        raw = random_triples(n, n_pred, count, seed)
+        entities, predicates = {f"e{i}": i for i in range(n)}, {f"r{r}": r for r in range(n_pred)}
+        for given in (raw, set(raw), np.array(raw, dtype=np.int32).reshape(-1, 3), iter(raw)):
+            kg = KnowledgeGraph(entities, predicates, given)
+            assert kg.triples.dtype == np.int64 and kg.triples.shape == (len(set(raw)), 3)
+            assert kg.triples.tolist() == [list(t) for t in sorted(set(raw))]
+            assert not kg.triples.flags.writeable
+
+    @pytest.mark.parametrize("n, n_pred, count, seed", GRAPHS)
+    def test_dense_tensor_and_degrees_match_the_loops(self, n, n_pred, count, seed):
+        kg = KnowledgeGraph({f"e{i}": i for i in range(n)}, {f"r{r}": r for r in range(n_pred)},
+                            random_triples(n, n_pred, count, seed))
+        g = kg.dense_tensor()
+        assert g.dtype == np.uint8 and np.array_equal(g, dense_tensor_loop(kg))
+        table = degree_table(kg)
+        degree, prob = degree_loop(kg)
+        assert table.degree.dtype == np.int64 and table.degree.tolist() == degree
+        assert table.sampling_prob.tolist() == prob
+
+    def test_graph_without_entities(self):
+        kg = KnowledgeGraph({}, {}, [])
+        assert kg.triples.shape == (0, 3)
+        assert kg.dense_tensor().shape == (0, 0, 0)
+
+    @pytest.mark.parametrize("triples", [np.zeros((2, 2), dtype=np.int64), np.zeros(3, dtype=np.int64), [(0, 0)]])
+    def test_rows_of_three_required(self, triples):
+        with pytest.raises(ValueError, match="rows"):
+            KnowledgeGraph({"a": 0}, {"p": 0}, triples)
+
+    def test_negative_id_out_of_bounds(self):
+        with pytest.raises(ValueError, match=r"triple \(0, -1, 0\) out of dictionary bounds"):
+            KnowledgeGraph({"a": 0}, {"p": 0}, np.array([[0, 0, 0], [0, -1, 0]]))
 
 
 class TestDegreeTable:
@@ -161,7 +238,7 @@ def test_save_load_round_trip(toy_kg, tmp_path):
     again = load_triples(path)
     lab = lambda kg: {
         (kg.entity_labels[i], kg.predicate_labels[r], kg.entity_labels[j])
-        for i, j, r in kg.triples
+        for i, j, r in kg.triples.tolist()
     }
     assert lab(again) == lab(toy_kg)
     assert set(again.entities) == set(toy_kg.entities)

@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from hiersbm.sampler import (
     level_conditional,
     load_sample_json,
     path_conditional,
+    predicted_edge_probabilities,
     recover_community_relations,
+    relations_from_sample,
     run,
     sample_level_indicator,
     sample_path,
@@ -31,6 +34,7 @@ from hiersbm.sampler import (
     write_trace_csv,
 )
 from hiersbm.stats import Hyperparameters, Schedule
+from test_kgraph import triple_set
 from test_stats import ncrp_path_prior
 from tree_oracle import tree_of
 
@@ -61,6 +65,7 @@ def joint_log_likelihood(kg, hyper, paths, Z):
     """From-scratch collapsed joint; independent oracle for the conditionals."""
     n, n_pred, depth = kg.num_entities, kg.num_predicates, hyper.depth
     lam, eta = hyper.lam, hyper.eta
+    present = triple_set(kg)
     counts = {}
     for i in range(n):
         for j in range(n):
@@ -68,7 +73,7 @@ def joint_log_likelihood(kg, hyper, paths, Z):
             for r in range(n_pred):
                 key = coarsen(paths[i], zi, paths[j], zj, r)
                 entry = counts.setdefault(key, [0, 0])
-                entry[0 if (i, j, r) in kg.triples else 1] += 1
+                entry[0 if (i, j, r) in present else 1] += 1
     base = math.lgamma(lam) + math.lgamma(eta) - math.lgamma(lam + eta)
     total = 0.0
     for ones, zeros in counts.values():
@@ -997,6 +1002,51 @@ class TestReadouts:
         for (a, b, r), value in means.items():
             n, *ones = state.rel[(a, b)]
             assert value == pytest.approx((ones[r] + 1) / (n + 2))
+
+    @pytest.mark.parametrize("stored_indicators", [True, False])
+    def test_readouts_on_a_permuted_superset_graph(self, stored_indicators):
+        # the sample's 7 entities sit among 12 graph entities in another id order
+        small = random_kg(7, 3, 0.3, 11)
+        state = init_state(small, hyper_with(depth=3), np.random.default_rng(11))
+        deg = degree_table(small)
+        for _ in range(3):
+            gibbs_iteration(state, deg)
+        sample = take_sample(state)
+        if not stored_indicators:
+            sample = replace(sample, indicators=None)
+        rng = np.random.default_rng(12)
+        labels = [f"e{k}" for k in rng.permutation(12)]  # e7..e11 are not in the sample
+        big_id = {label: k for k, label in enumerate(labels)}
+        ones = {(big_id[f"e{i}"], big_id[f"e{j}"], r) for i, j, r in triple_set(small)}
+        ones |= {(i, j, r) for i, j, r in rng.integers(0, [12, 12, 3], size=(60, 3)).tolist()
+                 if not {labels[i], labels[j]} <= set(sample.entity_labels)}
+        big = KnowledgeGraph(big_id, small.predicates, ones)
+
+        # per-pair recount: route every (i, j, r) of the sample with coarsen, look it up in the big graph
+        n, lam, eta = len(sample.paths), 0.7, 1.3
+        gid = [big_id[label] for label in sample.entity_labels]
+        counts, key_of = {}, {}
+        for i in range(n):
+            for j in range(n):
+                zs, zr = sample.indicators[i, j] if stored_indicators else (sample.levels[i], sample.levels[j])
+                for r in range(3):
+                    key = key_of[i, j, r] = coarsen(sample.paths[i], int(zs), sample.paths[j], int(zr), r)
+                    entry = counts.setdefault(key, [0, 0])
+                    entry[0] += 1
+                    entry[1] += (gid[i], gid[j], r) in ones
+        want = {key: (k + lam) / (total + lam + eta) for key, (total, k) in counts.items()}
+        assert relations_from_sample(sample, big, lam, eta) == want
+        probs = predicted_edge_probabilities(sample, big, lam, eta)
+        assert probs.shape == (n, n, 3)
+        assert probs.tolist() == [[[want[key_of[i, j, r]] for r in range(3)] for j in range(n)] for i in range(n)]
+
+    def test_readouts_reject_repeated_labels(self):
+        kg = random_kg(3, 1, 0.5, 0)
+        sample = take_sample(init_state(kg, hyper_with(depth=2), np.random.default_rng(0)))
+        twice = replace(sample, entity_labels=["e0", "e1", "e0"])
+        for readout in (relations_from_sample, predicted_edge_probabilities):
+            with pytest.raises(ValueError, match="repeat"):
+                readout(twice, kg, 1.0, 1.0)
 
     def test_sample_level_is_indicator_mode(self):
         kg = random_kg(1, 1, 1.0, 0)
