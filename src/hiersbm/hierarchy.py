@@ -9,11 +9,13 @@ come from a counter and are never recycled, so logs stay unambiguous.
 A ``Path`` omits the root: entry ``l-1`` is the community at level ``l``
 (levels run 1..depth).  A ``SiblingKey`` (a, b, r) is an ordered pair of
 communities sharing a parent, together with a predicate id; it names one
-pairwise relation degree.  The sampler counts per sibling pair rather than
-per key: one row ``[n, ones_0, ..., ones_{R-1}]`` for each occupied pair
-(a, b), holding the number of entity pairs routed there and the one-count of
-every predicate among them.  The rows form a plain map: nothing reads their
-order, and ``route_pairs`` returns its pairs sorted.
+pairwise relation degree.  Two communities sharing a parent sit at one level,
+so an entity pair (x, y) is read at one level m, as ``(P[x, m-1], P[y, m-1])``
+(``coarsen``, and ``route_level`` for arrays).  The sampler counts per
+sibling pair rather than per key: one row ``[n, ones_0, ..., ones_{R-1}]``
+for each occupied pair (a, b), holding the number of entity pairs routed
+there and the one-count of every predicate among them.  The rows form a plain
+map: nothing reads their order, and ``route_pairs`` returns its pairs sorted.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ __all__ = [
     "divergence_level",
     "coarsen",
     "divergence_levels",
-    "route_levels",
+    "route_level",
     "route_pairs",
 ]
 
@@ -117,27 +119,28 @@ def divergence_levels(P: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.where(neq.any(axis=-1), neq.argmax(axis=-1) + 1, neq.shape[-1] + 1)
 
 
-def route_levels(zs, zr, div, depth: int):
-    """Vectorised ``coarsen``: the levels at which a pair's two paths are read.
+def route_level(zs, zr, div, depth: int):
+    """Vectorised ``coarsen``: the one level at which a pair's two paths are read.
 
-    ``zs``, ``zr`` (indicated levels) and ``div`` (divergence levels) broadcast.
+    ``min(zs, div)`` for equal indicated levels; otherwise the divergence
+    level ``div``, or ``min(zs, zr)`` on identical paths.  Symmetric in
+    ``zs`` and ``zr``; the arguments broadcast.
     """
-    direct = (zs == zr) & (div > zs - 1)
-    fallback = np.where(div <= depth, div, np.minimum(zs, zr))
-    return np.where(direct, zs, fallback), np.where(direct, zr, fallback)
+    return np.where(zs == zr, np.minimum(zs, div), np.where(div <= depth, div, np.minimum(zs, zr)))
 
 
 def route_pairs(P: np.ndarray, Zs: np.ndarray, Zr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Route all ordered pairs of the E paths in ``P`` at E x E levels ``Zs``, ``Zr``.
 
+    Pair (x, y) goes to ``(P[x, m-1], P[y, m-1])`` at its ``route_level`` m.
     Returns the distinct (a, b) community pairs, K x 2 in ascending order,
     and the E x E index into them.
     """
     P = np.asarray(P, dtype=np.int64)
-    ls, lr = route_levels(Zs, Zr, divergence_levels(P[:, None, :], P[None, :, :]), P.shape[1])
+    m = route_level(Zs, Zr, divergence_levels(P[:, None, :], P[None, :, :]), P.shape[1]) - 1
     rows = np.arange(len(P))
-    a = P[rows[:, None], ls - 1].ravel()
-    b = P[rows[None, :], lr - 1].ravel()
+    a = P[rows[:, None], m].ravel()
+    b = P[rows[None, :], m].ravel()
     width = int(b.max(initial=0)) + 1
     keys, index = np.unique(a * width + b, return_inverse=True)
     return np.stack(np.divmod(keys, width), axis=1), index.reshape(len(P), len(P))

@@ -26,15 +26,16 @@ spreads exceed float range on dense graphs.
 
 A sweep's level pass finds the open gates with one array comparison, in
 (i, j, direction) order, and draws all their uniforms in one call (the same
-numbers as one draw per move); one level-move body then runs per open gate.
-A level move only reads the counts while it scores, and weighs the L levels
-by linear weights that one categorical draw reads.  In most moves every level
-routes the pair to one sibling key; the predictive likelihood is then the
-same at every level and cancels, so the move draws from the level prior
-alone, with the indicator left out of the histogram.  Otherwise it leaves the
-pair and the indicator out in the arithmetic and scores one predictive
-likelihood per distinct key.  It writes the pair's counts only when the drawn
-level routes the pair to another key.
+numbers as one draw per move), and the paths' E x E divergence levels once,
+since no level move changes a path; one level-move body then runs per open
+gate.  A level move only reads the counts while it scores, and weighs the L
+levels by linear weights that one categorical draw reads.  In most moves
+every level routes the pair to one sibling key; the predictive likelihood is
+then the same at every level and cancels, so the move draws from the level
+prior alone, with the indicator left out of the histogram.  Otherwise it
+leaves the pair and the indicator out in the arithmetic and scores one
+predictive likelihood per distinct key.  It writes the pair's counts only when
+the drawn level routes the pair to another key.
 
 A path move removes the entity's pairs, then scores all of its candidates in
 one pass over the tree the other entities' paths span, as arrays, then writes
@@ -82,7 +83,7 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from . import stats, synth
-from .hierarchy import Hierarchy, Path, PathSpec, divergence_levels, route_levels, route_pairs
+from .hierarchy import Hierarchy, Path, PathSpec, divergence_levels, route_level, route_pairs
 from .kgraph import DegreeTable, KnowledgeGraph, degree_table
 from .stats import Hyperparameters
 
@@ -151,9 +152,10 @@ class SamplerState:
 
     It copies ``paths`` (E x depth community ids >= 1) and ``Z`` (E x E x 2
     levels in 1..depth), so the caller's arrays are never written, and builds
-    the rest from them and the graph: ``G``, ``D``, ``rel``, ``ghist`` and
-    ``next_id = max(paths) + 1``.  The moves draw from ``rng``.  The paths are
-    taken to span a tree; ``audit_counts`` checks that.
+    the rest from them and the graph: ``G``, ``rel``, ``ghist`` and
+    ``next_id = max(paths) + 1``.  The moves draw from ``rng`` and work out
+    the paths' divergence levels where they read them.  The paths are taken
+    to span a tree; ``audit_counts`` checks that.
     """
 
     def __init__(self, kg: KnowledgeGraph, hyper: Hyperparameters, rng: np.random.Generator, paths, Z):
@@ -184,17 +186,11 @@ class SamplerState:
         self.G = np.frombuffer(self._g, dtype=np.uint8).reshape(G.shape)
 
         self.next_id = int(self.P.max()) + 1
-        self.D = divergence_levels(self.P[:, None, :], self.P[None, :, :])
-        # route_table[d][zs][zr] -> (sender level, receiver level); index 0 unused
-        z = np.arange(self.L + 1)
-        ls, lr = route_levels(z[:, None], z[None, :], np.arange(self.L + 2)[:, None, None], self.L)
-        route_table = [[list(zip(*rows)) for rows in zip(*planes)] for planes in zip(ls.tolist(), lr.tolist())]
-        # _level_table[direction][d][other indicator] -> (distinct routes, route index per level)
-        levels = range(1, self.L + 1)
-        self._level_table = [
-            [[_by_route([table[l][o] for l in levels]) for o in range(self.L + 1)] for table in route_table],
-            [[_by_route([table[o][l] for l in levels]) for o in range(self.L + 1)] for table in route_table],
-        ]
+        # _level_table[d][other indicator] -> (distinct route levels, route index per level) of a
+        # pair diverging at d, for either direction since ``route_level`` is symmetric; index 0 unused
+        levels = np.arange(1, self.L + 1)
+        table = route_level(levels, np.arange(self.L + 1)[:, None], np.arange(self.L + 2)[:, None, None], self.L)
+        self._level_table = [[_by_route(routes) for routes in plane] for plane in table.tolist()]
 
         pairs, _, ones, totals = _routed_counts(self.P, self.Z, kg.triples, self.R)
         self.rel: dict[tuple[int, int], list[int]] = dict(
@@ -204,19 +200,11 @@ class SamplerState:
 
         self.iteration = 0
         self.trace: Trace = []
-        self.path_resamples = np.zeros(self.E, dtype=np.int64)
 
     @property
     def h(self) -> Hierarchy:
         """The community tree, a view of the paths."""
         return Hierarchy(self.P)
-
-    # -- routing ---------------------------------------------------------
-
-    def _refresh_divergence_row(self, i: int) -> None:
-        d = divergence_levels(self.P, self.P[i])
-        self.D[i, :] = d
-        self.D[:, i] = d
 
     # -- incremental counts ----------------------------------------------
 
@@ -238,16 +226,18 @@ class SamplerState:
     def _entity_pairs_apply(self, i: int, sign: int) -> None:
         """Add or remove the counts of entity i's pairs: row i and column i, the self pair once.
 
-        One batched pass routes the 2E - 1 pairs and sums their ``[1, g...]``
-        rows per sibling key, then updates ``rel`` once per key.
+        One batched pass routes the 2E - 1 pairs by one row of divergence
+        levels and sums their ``[1, g...]`` rows per sibling key, then
+        updates ``rel`` once per key.
         """
         E, R = self.E, self.R
         x = np.full(2 * E, i)
         y = np.full(2 * E, i)
         x[1::2] = y[0::2] = np.arange(E)
         x, y = np.delete(x, 2 * i + 1), np.delete(y, 2 * i + 1)  # the self pair once
-        ls, lr = route_levels(self.Z[x, y, SENDER], self.Z[x, y, RECEIVER], self.D[x, y], self.L)
-        a, b = self.P[x, ls - 1], self.P[y, lr - 1]
+        div = divergence_levels(self.P, self.P[i])[x + y - i]  # read at each pair's other entity
+        m = route_level(self.Z[x, y, SENDER], self.Z[x, y, RECEIVER], div, self.L) - 1
+        a, b = self.P[x, m], self.P[y, m]
         width = int(b.max()) + 1
         keys, at = np.unique(a * width + b, return_inverse=True)
         cell = np.flatnonzero(self.G[x, y])  # the pairs' ones, pair-major
@@ -265,12 +255,15 @@ class SamplerState:
 
     # -- conditional distributions ----------------------------------------
 
-    def _level_weights(self, i: int, j: int, direction: int) -> tuple[list[float], list[tuple], list[int], int]:
+    def _level_weights(
+        self, i: int, j: int, direction: int, div: int
+    ) -> tuple[list[float], list[tuple], list[int], int]:
         """Weigh levels 1..L of one indicator of pair (i, j) without writing the state.
 
-        Returns unnormalised linear weights, the distinct sibling keys the
-        levels route the pair to, each level's index among those keys, and
-        the indicator's current level.
+        ``div`` is the level at which the pair's paths diverge.  Returns
+        unnormalised linear weights, the distinct sibling keys the levels
+        route the pair to, each level's index among those keys, and the
+        indicator's current level.
         The indicator's histogram entry is left out of the level prior.  When
         every level routes the pair to one key, the predictive likelihood is
         the same at every level and cancels, so the weights are the prior
@@ -282,13 +275,13 @@ class SamplerState:
         """
         Z, P = self.Z, self.P
         cur, other = Z.item(i, j, direction), Z.item(i, j, 1 - direction)
-        routes, key_of = self._level_table[direction][self.D.item(i, j)][other]
+        routes, key_of = self._level_table[div][other]
         hist = self.ghist[1:]
         hist[cur - 1] -= 1
         prior = stats.level_prior(hist, self.hyper)
         if len(routes) == 1:
             return prior, [], key_of, cur
-        keys = [(P.item(i, ls - 1), P.item(j, lr - 1)) for ls, lr in routes]
+        keys = [(P.item(i, m - 1), P.item(j, m - 1)) for m in routes]
         own = key_of[cur - 1]
         lam, eta = self.hyper.lam, self.hyper.eta
         start = (i * self.E + j) * self.R
@@ -495,9 +488,9 @@ def init_state(kg: KnowledgeGraph, hyper: Hyperparameters, rng: np.random.Genera
     return SamplerState(kg, hyper, rng, paths, Z)
 
 
-def _level_move(state: SamplerState, i: int, j: int, direction: int, u: float) -> None:
-    """Resample one level indicator of pair (i, j) in place, with ``u`` the uniform its draw reads."""
-    w, keys, key_of, old = state._level_weights(i, j, direction)
+def _level_move(state: SamplerState, i: int, j: int, direction: int, div: int, u: float) -> None:
+    """Resample one indicator of pair (i, j), whose paths diverge at ``div``, in place; its draw reads ``u``."""
+    w, keys, key_of, old = state._level_weights(i, j, direction, div)
     new = _categorical(u, w) + 1
     if new == old:
         return
@@ -522,7 +515,7 @@ def sample_level_indicator(state: SamplerState, i: int, j: int, direction: int) 
     state's generator, as each move of ``gibbs_iteration``'s level pass does.
     """
     if state.L > 1:
-        _level_move(state, i, j, direction, state.rng.random())
+        _level_move(state, i, j, direction, int(divergence_levels(state.P[i], state.P[j])), state.rng.random())
 
 
 def _normalized(w) -> np.ndarray:
@@ -538,7 +531,7 @@ def level_conditional(state: SamplerState, i: int, j: int, direction: int) -> np
     """
     if state.L == 1:
         return np.ones(1)
-    return _normalized(state._level_weights(i, j, direction)[0])
+    return _normalized(state._level_weights(i, j, direction, int(divergence_levels(state.P[i], state.P[j])))[0])
 
 
 def sample_path(state: SamplerState, i: int) -> None:
@@ -558,9 +551,7 @@ def sample_path(state: SamplerState, i: int) -> None:
     path[new] = state.next_id + np.arange(len(new))
     state.next_id += len(new)
     state.P[i] = path
-    state._refresh_divergence_row(i)
     state._entity_pairs_apply(i, +1)
-    state.path_resamples[i] += 1
 
 
 def path_conditional(state: SamplerState, i: int) -> tuple[list[PathSpec], np.ndarray]:
@@ -597,8 +588,9 @@ def gibbs_iteration(state: SamplerState, degrees: DegreeTable) -> None:
         thresholds = np.stack(np.broadcast_arrays(s[:, None], s[None, :]), axis=2)
         moves = np.flatnonzero(gates < thresholds)
         uniforms = state.rng.random(len(moves)).tolist()
-        for i, j, d, u in zip(*(a.tolist() for a in np.unravel_index(moves, gates.shape)), uniforms):
-            _level_move(state, i, j, d, u)
+        div = divergence_levels(state.P[:, None, :], state.P[None, :, :])  # no level move changes a path
+        for i, j, direction, u in zip(*(a.tolist() for a in np.unravel_index(moves, gates.shape)), uniforms):
+            _level_move(state, i, j, direction, div.item(i, j), u)
     path_gates = state.rng.random(E)
     for i in range(E):
         if path_gates[i] < s[i]:
@@ -785,9 +777,9 @@ def audit_counts(state: SamplerState) -> AuditReport:
     """Check the tree the paths span, then compare the incremental state with one rebuilt from its assignment.
 
     Each community must sit at one level under one parent, and every id must
-    lie below ``next_id``.  The count rows ``rel``, the level histogram
-    ``ghist`` and the divergence levels ``D`` must equal those of
-    ``SamplerState`` built from the state's paths and indicators.
+    lie below ``next_id``.  The count rows ``rel`` and the level histogram
+    ``ghist`` must equal those of ``SamplerState`` built from the state's
+    paths and indicators.
     """
     try:
         state.h.to_dict()
@@ -807,10 +799,6 @@ def audit_counts(state: SamplerState) -> AuditReport:
             return AuditReport(False, f"relation counts differ at pair {key}: recount {want}, incremental {have}")
     if fresh.ghist != state.ghist:
         return AuditReport(False, f"global level histogram differs: recount {fresh.ghist}, incremental {state.ghist}")
-    if not np.array_equal(fresh.D, state.D):
-        i, j = np.argwhere(fresh.D != state.D)[0].tolist()
-        want, have = fresh.D[i, j], state.D[i, j]
-        return AuditReport(False, f"divergence levels differ at pair {(i, j)}: recount {want}, incremental {have}")
     return AuditReport(True)
 
 

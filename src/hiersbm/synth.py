@@ -152,9 +152,12 @@ def forward_generate(
     Paths and level memberships are drawn per entity, relation degrees per
     same-sibling-group community pair and predicate, then two level indicators
     and one Bernoulli value per ordered entity pair (self-pairs included) and
-    predicate.
+    predicate.  Level memberships are stick draws from ``mu`` and ``sigma``,
+    so a ``hyper`` in another level-prior mode is a ``ValueError``.
     """
     hyper.validate()
+    if hyper.level_prior_mode != "stick":
+        raise ValueError(f"forward_generate draws stick memberships, not level_prior_mode {hyper.level_prior_mode!r}")
     if num_entities < 1 or num_predicates < 1:
         raise ValueError("need at least one entity and one predicate")
     depth = hyper.depth

@@ -8,8 +8,12 @@ from hiersbm.hierarchy import (
     coarsen,
     divergence_level,
     divergence_levels,
+    route_level,
     route_pairs,
 )
+from hiersbm.kgraph import KnowledgeGraph
+from hiersbm.sampler import SamplerState
+from hiersbm.stats import Hyperparameters
 from tree_oracle import Hierarchy
 
 
@@ -306,3 +310,29 @@ def test_divergence_levels_match_divergence_level(case):
     P = np.array(pool)
     for q in pool:
         assert divergence_levels(P, np.array(q)).tolist() == [divergence_level(p, q) for p in pool]
+
+
+@pytest.mark.parametrize("depth", range(1, 6))
+def test_route_level_is_the_one_level_coarsen_reads(depth):
+    # two paths that share levels 1..d-1 and differ from level d on (identical at d = depth + 1);
+    # their ids are distinct across levels, so a community names its level
+    kg = KnowledgeGraph({"e0": 0}, {"r0": 0}, [])
+    hyper = Hyperparameters(gamma=1.0, mu=0.5, sigma=1.0, lam=1.0, eta=1.0, depth=depth)
+    state = SamplerState(kg, hyper, np.random.default_rng(0), [range(1, depth + 1)], np.ones((1, 1, 2)))
+    levels = range(1, depth + 1)
+    for d in range(1, depth + 2):
+        pi = tuple(levels)
+        pj = tuple(c if c < d else 100 + c for c in pi)
+        assert divergence_level(pi, pj) == d
+        for zs in levels:
+            for zr in levels:
+                a, b, _ = coarsen(pi, zs, pj, zr, 0)
+                m = pi.index(a) + 1
+                assert b == pj[m - 1]  # both paths are read at one level
+                assert route_level(zs, zr, d, depth) == m
+                assert route_level(zr, zs, d, depth) == m
+        for other in levels:
+            routes, key_of = state._level_table[d][other]
+            for z in levels:
+                # a sender move to z against receiver ``other``, and a receiver move against sender ``other``
+                assert routes[key_of[z - 1]] == route_level(z, other, d, depth) == route_level(other, z, d, depth)

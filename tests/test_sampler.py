@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hiersbm import sampler, stats, synth
-from hiersbm.hierarchy import coarsen
+from hiersbm.hierarchy import coarsen, divergence_levels
 from hiersbm.kgraph import KnowledgeGraph, degree_table
 from hiersbm.sampler import (
     SamplerState,
@@ -274,7 +274,7 @@ class TestLevelIndicatorMove:
         kg = random_kg(6, 2, 0.5, 3)
         hyper = hyper_with(depth=3, gamma=50.0, **mode)
         state = init_state(kg, hyper, np.random.default_rng(3))
-        pairs = np.argwhere(state.D == 1)
+        pairs = np.argwhere(divergence_levels(state.P[:, None], state.P[None]) == 1)
         assert len(pairs)
         for i, j in pairs.tolist():
             for d in (0, 1):
@@ -469,9 +469,7 @@ def reference_sweep(state, tree, degrees):
             cum = np.cumsum([prob[spec] for spec in specs])
             state.P[i] = tree.add_path(specs[min(int(np.sum(cum <= u)), len(specs) - 1)])
             state.next_id = tree._next_id
-            state._refresh_divergence_row(i)
             state._entity_pairs_apply(i, +1)
-            state.path_resamples[i] += 1
     state.iteration += 1
     state.trace.append((state.iteration, complete_log_likelihood(state)))
 
@@ -552,16 +550,29 @@ def test_level_conditional_matches_enumeration_at_depth(n, n_pred, depth, densit
                 assert np.max(np.abs(got - want)) < 1e-9
 
 
+def count_path_moves(monkeypatch, n):
+    """Count ``gibbs_iteration``'s path moves per entity, through a patched ``sampler.sample_path``."""
+    calls = np.zeros(n, dtype=np.int64)
+    move = sampler.sample_path
+
+    def counted(state, i):
+        calls[i] += 1
+        move(state, i)
+
+    monkeypatch.setattr(sampler, "sample_path", counted)
+    return calls
+
+
 class TestGibbsIteration:
-    def test_full_sampling_probability_touches_everything(self):
+    def test_full_sampling_probability_touches_everything(self, monkeypatch):
         from hiersbm.kgraph import DegreeTable
 
         kg = random_kg(4, 1, 0.9, 1)
         state = init_state(kg, hyper_with(depth=2), np.random.default_rng(2))
         deg = DegreeTable(degree=np.zeros(4, dtype=np.int64), sampling_prob=np.ones(4))
-        before = state.path_resamples.copy()
+        calls = count_path_moves(monkeypatch, 4)
         gibbs_iteration(state, deg)
-        assert np.all(state.path_resamples - before == 1)
+        assert calls.tolist() == [1, 1, 1, 1]
         assert state.iteration == 1
         assert len(state.trace) == 1
 
@@ -572,7 +583,7 @@ class TestGibbsIteration:
         state = init_state(kg, hyper_with(depth=1), np.random.default_rng(3))
         deg = DegreeTable(degree=np.zeros(4, dtype=np.int64), sampling_prob=np.ones(4))
         moves = []
-        monkeypatch.setattr(sampler, "sample_level_indicator", lambda *args: moves.append(args))
+        monkeypatch.setattr(sampler, "_level_move", lambda *args: moves.append(args))
         twin = copy.deepcopy(state.rng)
         gibbs_iteration(state, deg)
         assert moves == []
@@ -582,7 +593,7 @@ class TestGibbsIteration:
         twin.random(4)
         assert twin.bit_generator.state == state.rng.bit_generator.state
 
-    def test_resample_frequency_proportional_to_probability(self):
+    def test_resample_frequency_proportional_to_probability(self, monkeypatch):
         kg = KnowledgeGraph(
             {"a": 0, "b": 1, "c": 2},
             {"p": 0, "q": 1},
@@ -591,10 +602,11 @@ class TestGibbsIteration:
         deg = degree_table(kg)
         assert deg.sampling_prob.tolist() == [1 / 3, 2 / 3, 1.0]
         state = init_state(kg, hyper_with(depth=2), np.random.default_rng(4))
+        calls = count_path_moves(monkeypatch, 3)
         iters = 3000
         for _ in range(iters):
             gibbs_iteration(state, deg)
-        freq = state.path_resamples / iters
+        freq = calls / iters
         for k, s in enumerate(deg.sampling_prob):
             se = math.sqrt(s * (1 - s) / iters)
             assert abs(freq[k] - s) < 4 * se + 1e-9
@@ -631,11 +643,14 @@ class TestGibbsIteration:
         assert not report.ok
         assert str(key) in report.message
         state.rel[key][0] -= 1
-        state.D[0, 1] += 1
+        # another leaf's path written without its counts
+        path = state.P[0].copy()
+        state.P[0] = next(p for p in state.P if (p != path).any())
         report = audit_counts(state)
         assert not report.ok
-        assert "divergence levels differ at pair (0, 1)" in report.message
-        state.D[0, 1] -= 1
+        assert "relation counts differ" in report.message
+        state.P[0] = path
+        assert audit_counts(state).ok
         state.Z[1, 0, 1] = 0
         report = audit_counts(state)
         assert not report.ok
@@ -704,7 +719,6 @@ def test_counts_exact_and_log_likelihood_finite_after_every_move(case):
         fresh = SamplerState(kg, hyper, state.rng, state.P, state.Z)
         assert fresh.rel == state.rel  # no row left at zero pairs
         assert fresh.ghist == state.ghist
-        assert np.array_equal(fresh.D, state.D)
         assert complete_log_likelihood(fresh) == complete_log_likelihood(state)
         assert math.isfinite(complete_log_likelihood(state))
 
@@ -775,7 +789,6 @@ def move_entity(state, i, pick, redraw):
     specs = list(ncrp_path_prior(tree, state.hyper.gamma))
     state.P[i] = tree.add_path(specs[pick % len(specs)])
     state.next_id = tree._next_id
-    state._refresh_divergence_row(i)
     state.Z[i, :] = redraw[0]
     state.Z[:, i] = redraw[1]
     state.ghist = SamplerState(state.kg, state.hyper, state.rng, state.P, state.Z).ghist

@@ -191,6 +191,14 @@ class TestForwardGenerate:
         se = float(np.std(densities, ddof=1) / math.sqrt(runs))
         assert abs(mean - lam / (lam + eta)) < 3 * se
 
+    def test_dirichlet_level_prior_is_rejected(self):
+        # the generator draws stick memberships from mu and sigma, which a
+        # Dirichlet prior does not describe: at alpha = (100, 0.01, 0.01) it put
+        # 46 % of the indicators at level 1, where the prior puts about 99.98 %
+        hyper = self._hyper(depth=3, level_prior_mode="dirichlet", alpha=(100.0, 0.01, 0.01))
+        with pytest.raises(ValueError, match="level_prior_mode 'dirichlet'"):
+            forward_generate(hyper, 30, 1, np.random.default_rng(0))
+
     def test_latent_state_consistency(self):
         kg, latent = forward_generate(self._hyper(depth=3), 8, 2, np.random.default_rng(7))
         assert len(latent.paths) == 8
