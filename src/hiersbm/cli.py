@@ -88,8 +88,8 @@ def _config_get(doc: dict, section: str, key: str, default=None, required: bool 
     return default
 
 
-# model config key -> Hyperparameters field, for the required numbers
-_MODEL_FIELDS = {"gamma": "gamma", "mu": "mu", "sigma": "sigma", "lambda": "lam", "eta": "eta", "depth": "depth"}
+# model config key -> Hyperparameters field, for the required real numbers
+_MODEL_FIELDS = {"gamma": "gamma", "mu": "mu", "sigma": "sigma", "lambda": "lam", "eta": "eta"}
 
 
 def _config_int(name: str, value) -> int:
@@ -100,6 +100,16 @@ def _config_int(name: str, value) -> int:
         return int(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from exc
+
+
+def _config_float(name: str, value) -> float:
+    """A real config value: a JSON number; a boolean, a string or anything else is an error, not converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
 
 
 def _load_run_config(args) -> tuple[Hyperparameters, FsPath, FsPath, dict]:
@@ -114,8 +124,11 @@ def _load_run_config(args) -> tuple[Hyperparameters, FsPath, FsPath, dict]:
         raise ConfigError("config must be a JSON object")
 
     model = {field: _config_get(doc, "model", key, required=True) for key, field in _MODEL_FIELDS.items()}
+    depth = _config_get(doc, "model", "depth", required=True)
     level_prior_mode = _config_get(doc, "model", "level_prior_mode", default="stick")
     alpha = _config_get(doc, "model", "alpha", default=None)
+    if alpha is not None and not isinstance(alpha, list):
+        raise ConfigError(f"model.alpha must be a list of numbers, got {alpha!r}")
     schedule = {
         key: _config_get(doc, "schedule", key, default=1, required=key != "chains")
         for key in ("iterations", "burn_in", "lag", "final_samples", "chains", "seed")
@@ -124,7 +137,8 @@ def _load_run_config(args) -> tuple[Hyperparameters, FsPath, FsPath, dict]:
         if getattr(args, key) is not None:
             schedule[key] = getattr(args, key)
     schedule = {key: _config_int(f"schedule.{key}", value) for key, value in schedule.items()}
-    depth = _config_int("model.depth", model.pop("depth"))
+    depth = _config_int("model.depth", depth)
+    model = {field: _config_float(f"model.{key}", model[field]) for key, field in _MODEL_FIELDS.items()}
 
     input_path = args.input or _config_get(doc, "io", "input", required=True)
     output_dir = args.output_dir or _config_get(doc, "io", "output_dir", required=True)
@@ -134,10 +148,10 @@ def _load_run_config(args) -> tuple[Hyperparameters, FsPath, FsPath, dict]:
 
     try:
         hyper = Hyperparameters(
-            **{field: float(value) for field, value in model.items()},
+            **model,
             depth=depth,
             level_prior_mode=str(level_prior_mode),
-            alpha=tuple(float(a) for a in alpha) if alpha is not None else None,
+            alpha=tuple(_config_float("model.alpha", a) for a in alpha) if alpha is not None else None,
             schedule=Schedule(**schedule),
         )
         hyper.validate()
@@ -146,6 +160,7 @@ def _load_run_config(args) -> tuple[Hyperparameters, FsPath, FsPath, dict]:
     resolved = {
         "model": {
             **{key: getattr(hyper, field) for key, field in _MODEL_FIELDS.items()},
+            "depth": hyper.depth,
             "level_prior_mode": hyper.level_prior_mode,
             "alpha": list(hyper.alpha) if hyper.alpha is not None else None,
         },

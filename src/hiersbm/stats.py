@@ -15,6 +15,8 @@ route the pair to two or more sibling keys, once per key; a move whose levels
 all reach one key draws from the level prior alone.  The level model lives
 here too: ``level_prior`` (the predictive every level move draws from) and
 ``level_log_marginal`` (the indicators' term of the complete log-likelihood).
+Both read one generalized Dirichlet (Connor & Mosimann 1969), the Beta break
+parameters ``Hyperparameters.level_breaks``, whatever the level-prior mode.
 The path move sums the log nCRP path prior along the tree itself, from pass
 counts (see ``sampler``).
 """
@@ -23,6 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -77,7 +81,8 @@ class Hyperparameters:
     ``gamma`` is the tree concentration, ``mu``/``sigma`` parameterize the
     level prior, ``lam``/``eta`` the Beta prior on relation degrees, ``depth``
     the fixed tree depth.  ``level_prior_mode`` selects the stick-breaking
-    level prior or its finite Dirichlet variant (which requires ``alpha``).
+    level prior or its finite Dirichlet variant, the one mode that takes
+    ``alpha``; ``level_breaks`` writes either as one generalized Dirichlet.
     """
 
     gamma: float
@@ -105,8 +110,23 @@ class Hyperparameters:
                 raise ValueError("alpha must provide one positive value per level in dirichlet mode")
             if not all(0 < a < math.inf for a in self.alpha):
                 raise ValueError("alpha entries must be finite and > 0")
+        elif self.alpha is not None:
+            raise ValueError("alpha is only accepted with level_prior_mode 'dirichlet'")
         if self.schedule is not None:
             self.schedule.validate()
+
+    @cached_property
+    def level_breaks(self) -> tuple[tuple[float, float, float], ...]:
+        """Per level, the (a, b, a + b) of the Beta prior of its stick break; unvalidated.
+
+        The stick has a = mu*sigma, b = (1-mu)*sigma and a + b = ``sigma``
+        itself at every level.  The finite Dirichlet has a = alpha_l and
+        b = alpha_{l+1} + ... + alpha_L, so b is 0 at the last level.
+        """
+        if self.level_prior_mode == "stick":
+            return ((self.mu * self.sigma, (1.0 - self.mu) * self.sigma, self.sigma),) * self.depth
+        tails = [*accumulate(reversed(self.alpha))][::-1] + [0.0]  # alpha_l + ... + alpha_L
+        return tuple(zip(self.alpha, tails[1:], tails))
 
 
 def log_beta_fn(a: float, b: float) -> float:
@@ -176,60 +196,40 @@ def level_log_likelihood(g: Sequence[int], ones: Sequence[int], n: int, lam: flo
     return out - len(g) * log(n + lam + eta)
 
 
-def _stick_level_weights(hist: Sequence[int], mu: float, sigma: float) -> list[float]:
-    """Posterior-predictive level weights under the stick-breaking prior.
-
-    ``hist[l-1]`` counts indicators at level ``l``; the infinite predictive is
-    truncated to ``len(hist)`` levels and renormalized.  Unvalidated.
-    """
-    ms = mu * sigma
-    rs = (1.0 - mu) * sigma
-    below = sum(hist)
-    raw = []
-    carry = 1.0
-    for n_l in hist:
-        below -= n_l  # indicators strictly below level l
-        denom = sigma + n_l + below
-        raw.append(carry * (ms + n_l) / denom)
-        carry *= (rs + below) / denom
-    total = sum(raw)
-    return [w / total for w in raw]
-
-
 def level_prior(hist: Sequence[int], hyper: Hyperparameters) -> list[float]:
     """Posterior-predictive level distribution under ``hyper``'s level prior.
 
     ``hist[l-1]`` counts the pooled indicators at level ``l``, the one being
-    drawn excluded.  Unvalidated: the level move calls it once per move.
+    drawn excluded.  Each break takes its posterior mean (a + n_l) / (a + b +
+    n_l + below), with ``below`` indicators under level l; the stick is
+    truncated to ``len(hist)`` levels and renormalized.
+    Unvalidated: the level move calls it once per move.
     """
-    if hyper.level_prior_mode == "stick":
-        return _stick_level_weights(hist, hyper.mu, hyper.sigma)
-    post = [a + h for a, h in zip(hyper.alpha, hist)]
-    total = sum(post)
-    return [p / total for p in post]
+    below = sum(hist)
+    raw = []
+    carry = 1.0
+    for (a, b, ab), n_l in zip(hyper.level_breaks, hist):
+        below -= n_l  # indicators strictly below level l
+        denom = ab + n_l + below
+        raw.append(carry * (a + n_l) / denom)
+        carry *= (b + below) / denom
+    total = sum(raw)
+    return [w / total for w in raw]
 
 
 def level_log_marginal(hist: Sequence[int], hyper: Hyperparameters) -> float:
     """Collapsed log marginal of the pooled indicators, ``hist[l-1]`` of them at level ``l``.
 
-    Exactly zero for a single-level tree, where every indicator is level 1.
+    Sums log B(a + n_l, b + deeper) - log B(a, b) over the levels but those
+    with b = 0, whose break is surely 1.  Exactly zero for a single-level
+    tree, where every indicator is level 1.
     """
     if hyper.depth == 1:
         return 0.0
-    if hyper.level_prior_mode == "stick":
-        ms = hyper.mu * hyper.sigma
-        rs = (1.0 - hyper.mu) * hyper.sigma
-        base = log_beta_fn(ms, rs)
-        out = 0.0
-        deeper = 0
-        for n_l in reversed(hist):
-            if n_l or deeper:
-                out += log_beta_fn(ms + n_l, rs + deeper) - base
-            deeper += n_l
-        return out
-    alpha = hyper.alpha
-    total_alpha = float(sum(alpha))
-    out = math.lgamma(total_alpha) - math.lgamma(total_alpha + sum(hist))
-    for a, n_l in zip(alpha, hist):
-        out += math.lgamma(a + n_l) - math.lgamma(a)
+    out = 0.0
+    deeper = 0
+    for (a, b, _), n_l in zip(reversed(hyper.level_breaks), reversed(hist)):
+        if b and (n_l or deeper):
+            out += log_beta_fn(a + n_l, b + deeper) - log_beta_fn(a, b)
+        deeper += n_l
     return out

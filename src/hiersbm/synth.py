@@ -126,15 +126,16 @@ def stick_weights(breaks: Sequence[float]) -> np.ndarray:
     return breaks * remainder
 
 
-def sample_stick(mu: float, sigma: float, depth: int, rng: np.random.Generator) -> StickDraw:
-    """Draw level-membership weights, truncated to ``depth`` and renormalized."""
-    if not 0 < mu < 1:
-        raise ValueError("mu must lie in (0, 1)")
-    if sigma <= 0:
-        raise ValueError("sigma must be > 0")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    breaks = rng.beta(mu * sigma, (1.0 - mu) * sigma, size=depth)
+def sample_stick(hyper: Hyperparameters, rng: np.random.Generator) -> StickDraw:
+    """Draw level-membership weights from ``hyper.level_breaks``, truncated to ``depth`` and renormalized.
+
+    A break with b = 0 is 1 without a draw; the others are drawn in level order.
+    """
+    hyper.validate()
+    a, b, _ = np.array(hyper.level_breaks).T
+    breaks = np.ones(hyper.depth)
+    drawn = b > 0
+    breaks[drawn] = rng.beta(a[drawn], b[drawn])
     # Guard against degenerate float draws at the support edge.
     breaks = np.clip(breaks, 1e-300, 1.0 - 1e-16)
     raw = stick_weights(breaks)
@@ -152,17 +153,15 @@ def forward_generate(
     Paths and level memberships are drawn per entity, relation degrees per
     same-sibling-group community pair and predicate, then two level indicators
     and one Bernoulli value per ordered entity pair (self-pairs included) and
-    predicate.  Level memberships are stick draws from ``mu`` and ``sigma``,
-    so a ``hyper`` in another level-prior mode is a ``ValueError``.
+    predicate.  Level memberships are ``sample_stick`` draws, from the stick or
+    the finite Dirichlet as ``hyper`` says.
     """
     hyper.validate()
-    if hyper.level_prior_mode != "stick":
-        raise ValueError(f"forward_generate draws stick memberships, not level_prior_mode {hyper.level_prior_mode!r}")
     if num_entities < 1 or num_predicates < 1:
         raise ValueError("need at least one entity and one predicate")
     depth = hyper.depth
     paths = sample_ncrp_paths(num_entities, depth, hyper.gamma, rng)
-    memberships = [sample_stick(hyper.mu, hyper.sigma, depth, rng) for _ in range(num_entities)]
+    memberships = [sample_stick(hyper, rng) for _ in range(num_entities)]
 
     children: dict[int, set[int]] = {}
     for path in paths:

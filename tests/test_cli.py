@@ -207,13 +207,32 @@ class TestFit:
         cfg.write_text(json.dumps(config), encoding="utf-8")
         assert run_cli("fit", cfg) == 2
 
-    def test_non_numeric_config_value(self, tmp_path, sbt_dir, capsys):
+    @pytest.mark.parametrize("model", [
+        pytest.param({"gamma": "many"}, id="gamma-many"),
+        pytest.param({"gamma": True}, id="gamma-true"),
+        pytest.param({"gamma": "3"}, id="gamma-numeric-string"),
+        pytest.param({"level_prior_mode": "dirichlet", "alpha": "12"}, id="alpha-string"),
+        pytest.param({"level_prior_mode": "dirichlet", "alpha": [1, "2"]}, id="alpha-string-entry"),
+        pytest.param({"alpha": [1.0, 1.0]}, id="alpha-in-stick-mode"),
+    ])
+    def test_non_numeric_config_value(self, tmp_path, sbt_dir, capsys, model):
+        # priors must be JSON numbers: none of these is turned into one
         cfg = write_config(tmp_path, sbt_dir / "triples.tsv", tmp_path / "f")
         config = json.loads(cfg.read_text())
-        config["model"]["gamma"] = "many"
+        config["model"].update(model)
         cfg.write_text(json.dumps(config), encoding="utf-8")
         assert run_cli("fit", cfg) == 1
-        assert_one_line_error(capsys)
+        assert assert_one_line_error(capsys).startswith("config error: ")
+        assert not (tmp_path / "f").exists()
+
+    def test_dirichlet_fit(self, tmp_path, sbt_dir):
+        cfg = write_config(tmp_path, sbt_dir / "triples.tsv", tmp_path / "f")
+        config = json.loads(cfg.read_text())
+        config["model"].update(level_prior_mode="dirichlet", alpha=[0.7, 1.4])
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        assert run_cli("fit", cfg) == 0
+        model = json.loads((tmp_path / "f" / "run_manifest.json").read_text())["config"]["model"]
+        assert (model["level_prior_mode"], model["alpha"]) == ("dirichlet", [0.7, 1.4])
 
     def test_comment_only_input_data_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.tsv"

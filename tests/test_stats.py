@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import simpson
 from scipy.special import betaln, gammaln
 
@@ -11,6 +11,7 @@ from hiersbm.stats import (
     Hyperparameters,
     Schedule,
     level_log_likelihood,
+    level_log_marginal,
     level_prior,
     log_beta_fn,
     log_evidence_terms,
@@ -175,17 +176,23 @@ class TestLevelLikelihood:
             assert 0 < got <= 1
 
 
-def stick_prior(hist, mu, sigma):
-    hyper = Hyperparameters(gamma=1.0, mu=mu, sigma=sigma, lam=1.0, eta=1.0, depth=len(hist))
-    return np.asarray(level_prior(hist, hyper))
+def stick_hyper(hist, mu, sigma):
+    return Hyperparameters(gamma=1.0, mu=mu, sigma=sigma, lam=1.0, eta=1.0, depth=len(hist))
 
 
-def dirichlet_prior(hist, alpha):
-    hyper = Hyperparameters(
+def dirichlet_hyper(hist, alpha):
+    return Hyperparameters(
         gamma=1.0, mu=0.5, sigma=1.0, lam=1.0, eta=1.0, depth=len(hist),
         level_prior_mode="dirichlet", alpha=tuple(alpha),
     )
-    return np.asarray(level_prior(hist, hyper))
+
+
+def stick_prior(hist, mu, sigma):
+    return np.asarray(level_prior(hist, stick_hyper(hist, mu, sigma)))
+
+
+def dirichlet_prior(hist, alpha):
+    return np.asarray(level_prior(hist, dirichlet_hyper(hist, alpha)))
 
 
 class TestStickLevelPrior:
@@ -219,6 +226,81 @@ class TestDirichletLevelPrior:
     def test_large_count_dominates(self):
         out = dirichlet_prior([10000, 0, 0], [0.5, 0.5, 0.5])
         assert out[0] > 0.999
+
+
+def stick_weights_oracle(hist, mu, sigma):
+    """The stick's predictive level weights, written for the stick alone and truncated to ``len(hist)``."""
+    ms = mu * sigma
+    rs = (1.0 - mu) * sigma
+    below = sum(hist)
+    raw = []
+    carry = 1.0
+    for n_l in hist:
+        below -= n_l
+        denom = sigma + n_l + below
+        raw.append(carry * (ms + n_l) / denom)
+        carry *= (rs + below) / denom
+    total = sum(raw)
+    return [w / total for w in raw]
+
+
+def stick_log_marginal_oracle(hist, mu, sigma):
+    """The stick's collapsed log marginal, one Beta break per level."""
+    if len(hist) == 1:
+        return 0.0
+    ms = mu * sigma
+    rs = (1.0 - mu) * sigma
+    base = log_beta_fn(ms, rs)
+    out = 0.0
+    deeper = 0
+    for n_l in reversed(hist):
+        if n_l or deeper:
+            out += log_beta_fn(ms + n_l, rs + deeper) - base
+        deeper += n_l
+    return out
+
+
+def dirichlet_prior_oracle(hist, alpha):
+    """Dirichlet-multinomial predictive: (alpha_l + n_l) / (sum(alpha) + N)."""
+    post = [a + h for a, h in zip(alpha, hist)]
+    total = sum(post)
+    return [p / total for p in post]
+
+
+def dirichlet_log_marginal_oracle(hist, alpha):
+    """Dirichlet-multinomial log marginal of one sequence with counts ``hist``."""
+    total_alpha = float(sum(alpha))
+    out = math.lgamma(total_alpha) - math.lgamma(total_alpha + sum(hist))
+    for a, n_l in zip(alpha, hist):
+        out += math.lgamma(a + n_l) - math.lgamma(a)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    hist=st.lists(st.integers(min_value=0, max_value=500), min_size=1, max_size=6),
+    mu=st.floats(min_value=0.01, max_value=0.99),
+    sigma=st.floats(min_value=0.01, max_value=100.0),
+    alpha=st.lists(st.floats(min_value=0.01, max_value=100.0), min_size=6, max_size=6),
+)
+@example(hist=[0, 0, 0], mu=0.2, sigma=1.5, alpha=[1.0] * 6)  # mu*sigma + (1-mu)*sigma != sigma shows in these weights
+def test_level_prior_is_one_generalized_dirichlet(hist, mu, sigma, alpha):
+    """``level_prior`` and ``level_log_marginal`` against formulas written for each mode alone.
+
+    The stick's are the same arithmetic, so they must be equal.  The
+    Dirichlet's telescoped products agree within 1e-12 relative; its log
+    marginal is a sum of log-gammas as large as lgamma(sum(alpha) + N), whose
+    rounding no sum of them can undo, so its error is measured against that.
+    """
+    alpha = tuple(alpha[: len(hist)])
+    stick = stick_hyper(hist, mu, sigma)
+    assert level_prior(hist, stick) == stick_weights_oracle(hist, mu, sigma)
+    assert level_log_marginal(hist, stick) == stick_log_marginal_oracle(hist, mu, sigma)
+    diri = dirichlet_hyper(hist, alpha)
+    np.testing.assert_allclose(level_prior(hist, diri), dirichlet_prior_oracle(hist, alpha), rtol=1e-12, atol=0)
+    want = dirichlet_log_marginal_oracle(hist, alpha)
+    scale = max(1.0, abs(want), math.lgamma(sum(alpha) + sum(hist)))
+    assert abs(level_log_marginal(hist, diri) - want) <= 1e-12 * scale
 
 
 @settings(max_examples=150, deadline=None)

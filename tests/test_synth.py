@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -17,6 +18,10 @@ from hiersbm.synth import (
     stick_weights,
 )
 from test_kgraph import triple_set
+
+
+def level_hyper(depth, mu=0.5, sigma=1.0, **mode):
+    return Hyperparameters(gamma=1.0, mu=mu, sigma=sigma, lam=1.0, eta=1.0, depth=depth, **mode)
 
 
 class TestCrp:
@@ -98,7 +103,7 @@ def test_forward_generate_relation_draws_match_the_tree_oracle():
             h = tree_oracle.Hierarchy(depth)
             paths = [tree_oracle.sample_ncrp_path(h, hyper.gamma, rng) for _ in range(n)]
             for _ in range(n):
-                sample_stick(hyper.mu, hyper.sigma, depth, rng)
+                sample_stick(hyper, rng)
             want = {}
             for parent in sorted(c for c in h.community_ids(include_root=True) if h.children_of(c)):
                 siblings = h.children_of(parent)
@@ -125,7 +130,7 @@ class TestStick:
     def test_raw_weights_leave_positive_remainder(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
-            draw = sample_stick(0.3, 2.0, 4, rng)
+            draw = sample_stick(level_hyper(4, 0.3, 2.0), rng)
             raw = stick_weights(draw.breaks)
             assert np.all(raw > 0)
             assert raw.sum() < 1.0
@@ -133,17 +138,33 @@ class TestStick:
     def test_truncated_weights_normalized(self):
         rng = np.random.default_rng(12)
         for _ in range(50):
-            draw = sample_stick(0.7, 0.5, 5, rng)
+            draw = sample_stick(level_hyper(5, 0.7, 0.5), rng)
             assert abs(draw.weights.sum() - 1.0) < 1e-12
 
     def test_parameter_bounds(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            sample_stick(0.0, 1.0, 3, rng)
+            sample_stick(level_hyper(3, mu=0.0), rng)
         with pytest.raises(ValueError):
-            sample_stick(0.5, 0.0, 3, rng)
+            sample_stick(level_hyper(3, sigma=0.0), rng)
         with pytest.raises(ValueError):
-            sample_stick(0.5, 1.0, 0, rng)
+            sample_stick(level_hyper(0), rng)
+        with pytest.raises(ValueError):
+            sample_stick(level_hyper(3, level_prior_mode="dirichlet", alpha=(1.0, 0.0, 1.0)), rng)
+
+    def test_dirichlet_draws_match_the_dirichlet(self):
+        # the breaks of a generalized Dirichlet with b_l = alpha_{l+1} + ... give Dirichlet(alpha) weights
+        alpha = np.array([0.5, 1.0, 2.0])
+        hyper = level_hyper(3, level_prior_mode="dirichlet", alpha=tuple(alpha))
+        rng = np.random.default_rng(3)
+        draws = 20_000
+        w = np.array([sample_stick(hyper, rng).weights for _ in range(draws)])
+        total = alpha.sum()
+        mean = alpha / total
+        var = mean * (1 - mean) / (total + 1)
+        centred = (w - w.mean(axis=0)) ** 2
+        assert np.all(np.abs(w.mean(axis=0) - mean) < 4 * np.sqrt(var / draws))
+        assert np.all(np.abs(centred.mean(axis=0) - var) < 4 * centred.std(axis=0) / math.sqrt(draws))
 
 
 class TestForwardGenerate:
@@ -191,13 +212,27 @@ class TestForwardGenerate:
         se = float(np.std(densities, ddof=1) / math.sqrt(runs))
         assert abs(mean - lam / (lam + eta)) < 3 * se
 
-    def test_dirichlet_level_prior_is_rejected(self):
-        # the generator draws stick memberships from mu and sigma, which a
-        # Dirichlet prior does not describe: at alpha = (100, 0.01, 0.01) it put
-        # 46 % of the indicators at level 1, where the prior puts about 99.98 %
+    def test_dirichlet_level_prior_is_drawn(self):
+        # the Dirichlet puts about 99.98 % of the level mass on level 1 here
         hyper = self._hyper(depth=3, level_prior_mode="dirichlet", alpha=(100.0, 0.01, 0.01))
-        with pytest.raises(ValueError, match="level_prior_mode 'dirichlet'"):
-            forward_generate(hyper, 30, 1, np.random.default_rng(0))
+        _, latent = forward_generate(hyper, 30, 1, np.random.default_rng(0))
+        assert np.mean(latent.indicators == 1) >= 0.99
+
+    @pytest.mark.parametrize("seed,want", enumerate([
+        "22629cd45eda44fba47a2405866d1c5d34b119523d15888ab1acf24838e95136",
+        "db2e7363769c4d7d7403c86f187fd4e64ac9edaedc2db95bed9a8da093c859c6",
+        "bc6d72da75033f4b7673d192781909b9487373b4b20b4976ef9aeb4fab14860e",
+    ]))
+    def test_fixed_seed_stick_draws_are_pinned(self, seed, want):
+        # stick-mode outputs byte for byte: a Beta draw per level reads the same stream as one of size depth
+        hyper = self._hyper(gamma=1.5, mu=0.2, sigma=1.5, lam=0.7, eta=1.3, depth=3)
+        kg, latent = forward_generate(hyper, 12, 2, np.random.default_rng(seed))
+        digest = hashlib.sha256()
+        for part in (kg.triples, np.array(latent.paths), latent.indicators,
+                     *(m.breaks for m in latent.memberships), *(m.weights for m in latent.memberships),
+                     np.array([(*key, value) for key, value in latent.relations.items()])):
+            digest.update(np.ascontiguousarray(part).tobytes())
+        assert digest.hexdigest() == want
 
     def test_latent_state_consistency(self):
         kg, latent = forward_generate(self._hyper(depth=3), 8, 2, np.random.default_rng(7))
