@@ -12,7 +12,7 @@ clustering metrics (:mod:`hiersbm.metrics`) and a command-line interface
 __version__ = "0.1.0"
 
 from .kgraph import KnowledgeGraph, DegreeTable, load_triples, degree_table
-from .hierarchy import Hierarchy, divergence_level, coarsen
+from .hierarchy import Hierarchy
 from .stats import Hyperparameters, Schedule
 from .synth import generate_sbt, forward_generate
 from .sampler import init_state, run, aggregate
@@ -24,8 +24,6 @@ __all__ = [
     "load_triples",
     "degree_table",
     "Hierarchy",
-    "divergence_level",
-    "coarsen",
     "Hyperparameters",
     "Schedule",
     "generate_sbt",

@@ -175,11 +175,17 @@ def _write_json(doc: dict, path: FsPath) -> None:
 
 
 def cmd_gen_sbt(args) -> int:
+    if args.seed < 0:
+        print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
+        return USAGE_ERROR
     rng = np.random.default_rng(args.seed)
     try:
         kg, truth = synth.generate_sbt(args.depth, args.per_leaf, args.probs, args.predicates, rng)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except MemoryError as exc:
+        print(f"error: not enough memory for the dataset: {exc}", file=sys.stderr)
         return USAGE_ERROR
     manifest = {
         "generator": "sbt",

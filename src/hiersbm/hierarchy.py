@@ -7,15 +7,16 @@ that no path reaches any more is gone without being pruned.  Community ids
 come from a counter and are never recycled, so logs stay unambiguous.
 
 A ``Path`` omits the root: entry ``l-1`` is the community at level ``l``
-(levels run 1..depth).  A ``SiblingKey`` (a, b, r) is an ordered pair of
-communities sharing a parent, together with a predicate id; it names one
-pairwise relation degree.  Two communities sharing a parent sit at one level,
-so an entity pair (x, y) is read at one level m, as ``(P[x, m-1], P[y, m-1])``
-(``coarsen``, and ``route_level`` for arrays).  The sampler counts per
-sibling pair rather than per key: one row ``[n, ones_0, ..., ones_{R-1}]``
-for each occupied pair (a, b), holding the number of entity pairs routed
-there and the one-count of every predicate among them.  The rows form a plain
-map: nothing reads their order, and ``route_pairs`` returns its pairs sorted.
+(levels run 1..depth).  An ordered pair (a, b) of communities sharing a
+parent, together with a predicate, names one pairwise relation degree.  Two
+communities sharing a parent sit at one level, so an entity pair (x, y) is
+read at one level m, as ``(P[x, m-1], P[y, m-1])``; ``route_level`` is the
+rule that picks m, and the only one in the package.  The sampler counts per
+sibling pair, not per pair and predicate: one row
+``[n, ones_0, ..., ones_{R-1}]`` for each occupied pair (a, b), holding the
+number of entity pairs routed there and the one-count of every predicate
+among them.  The rows form a plain map: nothing reads their order, and
+``route_pairs`` returns its pairs sorted.
 """
 
 from __future__ import annotations
@@ -27,9 +28,6 @@ __all__ = [
     "Hierarchy",
     "Path",
     "PathSpec",
-    "SiblingKey",
-    "divergence_level",
-    "coarsen",
     "divergence_levels",
     "route_level",
     "route_pairs",
@@ -41,7 +39,6 @@ Path = tuple[int, ...]
 # A path descriptor: existing community id per level, or None meaning "branch
 # new from here downward" (once None, always None).
 PathSpec = tuple
-SiblingKey = tuple[int, int, int]
 
 
 class Hierarchy:
@@ -80,50 +77,24 @@ class Hierarchy:
         return root
 
 
-def divergence_level(pi: Path, pj: Path) -> int:
-    """First level at which two equal-length paths differ; len+1 if identical."""
-    if len(pi) != len(pj):
-        raise ValueError(f"path length mismatch: {len(pi)} vs {len(pj)}")
-    for idx, (a, b) in enumerate(zip(pi, pj)):
-        if a != b:
-            return idx + 1
-    return len(pi) + 1
-
-
-def coarsen(pi: Path, zi: int, pj: Path, zj: int, r: int) -> SiblingKey:
-    """Map an interacting pair to the deepest community pair in one sibling group.
-
-    When both indicated communities share a parent (same indicated level and a
-    common ancestor one level up, where the level-0 parent is the root), the
-    key is the pair of indicated communities.  Otherwise the pair is coarsened
-    to the level where the paths diverge; for identical paths with unequal
-    indicated levels the shallower indicated level is used, which keeps the
-    result adjacent to the direct case.
-    """
-    depth = len(pi)
-    if len(pj) != depth:
-        raise ValueError(f"path length mismatch: {depth} vs {len(pj)}")
-    if not (1 <= zi <= depth and 1 <= zj <= depth):
-        raise ValueError(f"levels must lie in 1..{depth}, got ({zi}, {zj})")
-    if zi == zj and (zi == 1 or pi[zi - 2] == pj[zi - 2]):
-        return (pi[zi - 1], pj[zj - 1], r)
-    d = divergence_level(pi, pj)
-    if d > depth:
-        d = min(zi, zj)
-    return (pi[d - 1], pj[d - 1], r)
-
-
 def divergence_levels(P: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``divergence_level`` along the last axis of two broadcastable path arrays."""
+    """The first level at which two paths differ, along the last axis of two broadcastable path arrays.
+
+    Levels count from 1, and identical paths give depth + 1.
+    """
     neq = np.asarray(P) != np.asarray(q)
     return np.where(neq.any(axis=-1), neq.argmax(axis=-1) + 1, neq.shape[-1] + 1)
 
 
 def route_level(zs, zr, div, depth: int):
-    """Vectorised ``coarsen``: the one level at which a pair's two paths are read.
+    """The one level at which a pair's two paths are read, at indicated levels ``zs``, ``zr``.
 
-    ``min(zs, div)`` for equal indicated levels; otherwise the divergence
-    level ``div``, or ``min(zs, zr)`` on identical paths.  Symmetric in
+    The pair goes to the deepest pair of communities in one sibling group.
+    When the indicated levels are equal and the paths agree above them
+    (``div >= zs``), that is the indicated pair; otherwise the pair is
+    coarsened to the divergence level ``div``, so equal levels give
+    ``min(zs, div)``.  Identical paths (``div = depth + 1``) with unequal
+    levels are read at the shallower one, ``min(zs, zr)``.  Symmetric in
     ``zs`` and ``zr``; the arguments broadcast.
     """
     return np.where(zs == zr, np.minimum(zs, div), np.where(div <= depth, div, np.minimum(zs, zr)))

@@ -14,8 +14,8 @@ entity pairs routed there, then the one-count of each predicate among them),
 and one pooled level-indicator histogram ``ghist``, which the level prior
 reads.  ``rel`` is a plain map: no move or read-out depends on the order of
 its rows, and ``complete_log_likelihood`` adds its terms with ``math.fsum``,
-exactly rounded, so the value is a function of the counts alone.  Each
-entity's level mode is worked out from the indicators when a sample is taken.
+exactly rounded, so the value is a function of the counts alone.  A stored
+sample is an assignment too; its tree and level modes are derived when read.
 Every move scores its candidates with the collapsed formulas and the level
 model in ``stats``, against the counts with the moved contributions left out,
 and then writes the chosen configuration; ``audit_counts`` compares the
@@ -77,6 +77,7 @@ from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import chain
 from pathlib import Path as FsPath
 
@@ -124,21 +125,29 @@ MAX_ID = 2**31 - 1  # the largest community id a stored sample may hold: ``route
 
 @dataclass(frozen=True)
 class PosteriorSample:
-    """Immutable snapshot of one retained Gibbs sample.
+    """Immutable snapshot of one retained Gibbs sample: its assignment, the paths and the level indicators.
 
-    ``indicators`` is the E x E x 2 level-indicator tensor that readouts route
-    pairs by.  On disk it is a uint8 ``<stem>.indicators.npy`` beside the JSON
-    file; a sample loaded without that file has None, and readouts then fall
-    back to per-entity level modes.
+    ``indicators`` is the E x E x 2 level-indicator tensor that every readout
+    routes pairs by; on disk it is a uint8 ``<stem>.indicators.npy`` beside
+    the JSON file.  The tree the paths span and each entity's level mode are
+    derived from the assignment when first read.
     """
 
     iteration: int
     log_likelihood: float
-    tree: dict
     entity_labels: list[str]
     paths: list[Path]
-    levels: list[int]
-    indicators: np.ndarray | None = field(default=None, compare=False, repr=False)
+    indicators: np.ndarray = field(compare=False, repr=False)
+
+    @cached_property
+    def tree(self) -> dict:
+        """The community tree the paths span, as ``Hierarchy.to_dict`` nests it."""
+        return Hierarchy(self.paths).to_dict()
+
+    @cached_property
+    def levels(self) -> list[int]:
+        """Each entity's mode over its incident indicators, ties toward the shallower level."""
+        return _level_modes(self.indicators)
 
 
 @dataclass(frozen=True)
@@ -716,14 +725,13 @@ def run_chains(kg: KnowledgeGraph, hyper: Hyperparameters) -> Iterator[tuple[lis
 
 
 def take_sample(state: SamplerState) -> PosteriorSample:
+    """The state's assignment, copied: its paths and indicators, with its last traced log-likelihood."""
     ll = state.trace[-1][1] if state.trace else complete_log_likelihood(state)
     return PosteriorSample(
         iteration=state.iteration,
         log_likelihood=float(ll),
-        tree=state.h.to_dict(),
         entity_labels=list(state.kg.entity_labels),
         paths=[tuple(int(c) for c in row) for row in state.P],
-        levels=_level_modes(state.Z, state.L),
         indicators=state.Z.copy(),
     )
 
@@ -751,21 +759,17 @@ def aggregate(samples: list[PosteriorSample]) -> tuple[PosteriorSample, np.ndarr
 
 
 def recover_community_relations(state: SamplerState, lam: float, eta: float) -> dict:
-    """Posterior-mean relation degree for every occupied sibling pair (a, b) and predicate r."""
-    return {
-        (a, b, r): (ones + lam) / (row[0] + lam + eta)
-        for (a, b), row in state.rel.items()
-        for r, ones in enumerate(row[1:])
-    }
+    """Posterior-mean relation degree per occupied sibling pair (a, b) and predicate r: ``take_sample(state)``'s."""
+    return relations_from_sample(take_sample(state), state.kg, lam, eta)
 
 
-def _level_modes(Z: np.ndarray, L: int) -> list[int]:
+def _level_modes(Z: np.ndarray) -> list[int]:
     """Each entity's mode over its incident indicators, ties toward the shallower level.
 
     Entity e's indicators are both of every pair in row e and column e of
-    ``Z``, the self pair counted once; its bins are e*(L+1) + level.
+    ``Z``, the self pair counted once; its bins are e*(L+1) + level, L = max(Z).
     """
-    E, L1 = len(Z), L + 1
+    E, L1 = len(Z), int(Z.max(initial=1)) + 1
     idx = np.arange(E)
     own = idx[:, None] * L1
     bins = (own[:, :, None] + Z, own.T[:, :, None] + Z, own + Z[idx, idx])
@@ -806,7 +810,7 @@ def audit_counts(state: SamplerState) -> AuditReport:
 
 
 def _sample_means(sample: PosteriorSample, kg: KnowledgeGraph, lam: float, eta: float):
-    """Routed pairs, their E x E index and the K x R posterior means of a sample.
+    """Pairs routed at a sample's stored indicators, their E x E index and the K x R posterior means.
 
     The graph's entities may be a superset of the sample's, in any order: the
     ones among the sample's entities are counted at their sample positions.
@@ -820,26 +824,20 @@ def _sample_means(sample: PosteriorSample, kg: KnowledgeGraph, lam: float, eta: 
         raise ValueError("sample entity labels repeat")
     if n == 0:
         return np.empty((0, 2), dtype=np.int64), np.empty((0, 0), dtype=np.int64), np.empty((0, R))
-    if sample.indicators is not None:
-        Z = sample.indicators
-    else:
-        levels = np.asarray(sample.levels, dtype=np.int64)
-        Z = np.stack(np.broadcast_arrays(levels[:, None], levels[None, :]), axis=2)
     at = np.full(kg.num_entities, -1)  # sample position of each graph entity, -1 if not in the sample
     at[gid] = np.arange(n)
     s, o = at[kg.triples[:, 0]], at[kg.triples[:, 1]]
     inside = (s >= 0) & (o >= 0)
     cells = np.column_stack([s[inside], o[inside], kg.triples[inside, 2]])
-    pairs, index, ones, totals = _routed_counts(sample.paths, Z, cells, R)
+    pairs, index, ones, totals = _routed_counts(sample.paths, sample.indicators, cells, R)
     return pairs, index, (ones + lam) / (totals[:, None] + lam + eta)
 
 
 def relations_from_sample(sample: PosteriorSample, kg: KnowledgeGraph, lam: float, eta: float) -> dict:
     """Posterior-mean relation degrees reconstructed from a stored sample.
 
-    Every ordered pair is routed through the sample's paths at its recorded
-    level indicators (falling back to per-entity level modes when the sample
-    has none); counts come from the graph.
+    Every ordered pair is routed through the sample's paths at its stored
+    level indicators; counts come from the graph.
     """
     pairs, _, means = _sample_means(sample, kg, lam, eta)
     return {
@@ -884,15 +882,13 @@ def _indicators_path(path) -> FsPath:
 
 
 def write_sample_json(sample: PosteriorSample, path) -> list[FsPath]:
-    """Write the sample as JSON, and its indicators (if any) beside it; return the files."""
+    """Write the sample as JSON and its indicators beside it; return both files."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(sample_to_dict(sample), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    written = [FsPath(path)]
-    if sample.indicators is not None:
-        written.append(_indicators_path(path))
-        np.save(written[-1], sample.indicators.astype(np.uint8))
-    return written
+    indicators_path = _indicators_path(path)
+    np.save(indicators_path, sample.indicators.astype(np.uint8))
+    return [FsPath(path), indicators_path]
 
 
 def _is_int(value) -> bool:
@@ -900,12 +896,12 @@ def _is_int(value) -> bool:
 
 
 def load_sample_json(path) -> PosteriorSample:
-    """Read a sample that ``write_sample_json`` wrote, with its indicators if they lie beside it.
+    """Read a sample that ``write_sample_json`` wrote: the JSON file and the indicators file beside it.
 
-    Raises ``ValueError`` for a file that holds no such sample: JSON of the
-    wrong shape, paths of unequal length, a level outside 1..depth, a tree
-    that is not the one the entity paths span, or an indicators file that
-    holds no .npy array of E x E x 2 levels in 1..depth.
+    Raises ``ValueError`` for files that hold no such sample: JSON of the
+    wrong shape, paths of unequal length, a missing indicators file or one
+    that holds no .npy array of E x E x 2 levels in 1..depth, or a tree or an
+    entity level other than the one derived from the paths and indicators.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -921,34 +917,32 @@ def load_sample_json(path) -> PosteriorSample:
             )
     n = len(entities)
     paths = [tuple(e["path"]) for e in entities]
-    levels = [e["level"] for e in entities]
     depth = len(paths[0]) if paths else 0
-    for e, entity_path, level in zip(entities, paths, levels):
+    for e, entity_path in zip(entities, paths):
         if len(entity_path) != depth:
             raise ValueError(f"entity {e['label']!r} has a path of length {len(entity_path)}, expected {depth}")
-        if not 1 <= level <= depth:
-            raise ValueError(f"entity {e['label']!r} has level {level}, outside 1..{depth}")
-    tree = Hierarchy(paths).to_dict()
-    if doc.get("tree") != tree:
-        raise ValueError("the sample's tree is not the tree its entity paths span")
-    indicators = None
     indicators_path = _indicators_path(path)
-    if indicators_path.exists():
+    try:
         with open(indicators_path, "rb") as fh:
-            try:
-                indicators = np.lib.format.read_array(fh).astype(np.int64)
-            except ValueError as exc:  # empty, not .npy, truncated, or object data
-                raise ValueError(f"indicators file {indicators_path} holds no .npy array: {exc}") from exc
-        if indicators.shape != (n, n, 2):
-            raise ValueError(f"indicators file has shape {indicators.shape}, expected {(n, n, 2)}")
-        if n and not 1 <= indicators.min() <= indicators.max() <= depth:
-            raise ValueError(f"indicators file holds levels outside 1..{depth}")
-    return PosteriorSample(
+            indicators = np.lib.format.read_array(fh).astype(np.int64)
+    except FileNotFoundError as exc:
+        raise ValueError(f"indicators file {indicators_path} is missing") from exc
+    except ValueError as exc:  # empty, not .npy, truncated, or object data
+        raise ValueError(f"indicators file {indicators_path} holds no .npy array: {exc}") from exc
+    if indicators.shape != (n, n, 2):
+        raise ValueError(f"indicators file has shape {indicators.shape}, expected {(n, n, 2)}")
+    if n and not 1 <= indicators.min() <= indicators.max() <= depth:
+        raise ValueError(f"indicators file holds levels outside 1..{depth}")
+    sample = PosteriorSample(
         iteration=doc["iteration"],
         log_likelihood=float(doc["log_likelihood"]),
-        tree=tree,
         entity_labels=[e["label"] for e in entities],
         paths=paths,
-        levels=levels,
         indicators=indicators,
     )
+    if doc.get("tree") != sample.tree:
+        raise ValueError("the sample's tree is not the tree its entity paths span")
+    for e, level in zip(entities, sample.levels):
+        if e["level"] != level:
+            raise ValueError(f"entity {e['label']!r} has level {e['level']}, not its indicators' mode {level}")
+    return sample

@@ -72,6 +72,8 @@ class Schedule:
             )
         if not isinstance(self.seed, int):
             raise ValueError("schedule.seed must be an integer (wall-clock seeding is not allowed)")
+        if self.seed < 0:
+            raise ValueError("schedule.seed must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from hiersbm import sampler
+from hiersbm import sampler, synth
 from hiersbm.cli import main
 from hiersbm.hierarchy import Hierarchy
 from hiersbm.kgraph import load_triples
@@ -48,6 +48,14 @@ def assert_one_line_error(capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "error: " in err, err
     return err
+
+
+def write_sample_beside(doc, tmp_path, fit_dir):
+    """Write ``doc`` as a sample JSON beside a copy of chain 0's point-estimate indicators; return its path."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    (tmp_path / "bad.indicators.npy").write_bytes((fit_dir / "point_estimate_chain0.indicators.npy").read_bytes())
+    return path
 
 
 def shift_ids(doc, offset):
@@ -111,6 +119,24 @@ class TestGenSbt:
         assert run_cli("gen-sbt", "--depth", 2, "--per-leaf", 2, "--probs", 0.1, 0.4,
                        "--out-dir", afile / "sub") == 1
         assert_one_line_error(capsys)
+
+    def test_negative_seed_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run_cli("gen-sbt", "--depth", 2, "--per-leaf", 2, "--probs", 0.1, 0.4,
+                       "--seed", -1, "--out-dir", out) == 1
+        assert "--seed" in assert_one_line_error(capsys)
+        assert not out.exists()
+
+    def test_dataset_too_large_for_memory(self, tmp_path, monkeypatch, capsys):
+        # as numpy refuses the n x n array of a deep tree, allocating nothing
+        def refuse(*args):
+            raise MemoryError("Unable to allocate 2.00 PiB for an array")
+
+        monkeypatch.setattr(synth, "generate_sbt", refuse)
+        out = tmp_path / "x"
+        assert run_cli("gen-sbt", "--depth", 2, "--per-leaf", 2, "--probs", 0.1, 0.4, "--out-dir", out) == 1
+        assert "memory" in assert_one_line_error(capsys)
+        assert not out.exists()
 
 
 class TestFit:
@@ -261,6 +287,17 @@ class TestFit:
         assert assert_one_line_error(capsys).startswith("config error: ")
         assert not (tmp_path / "f").exists()
 
+    @pytest.mark.parametrize("config_seed,flags", [(-1, ()), (11, ("--seed", -2))], ids=["config", "flag"])
+    def test_negative_seed_is_config_error(self, tmp_path, sbt_dir, capsys, config_seed, flags):
+        cfg = write_config(tmp_path, sbt_dir / "triples.tsv", tmp_path / "f")
+        config = json.loads(cfg.read_text())
+        config["schedule"]["seed"] = config_seed
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        assert run_cli("fit", cfg, *flags) == 1
+        err = assert_one_line_error(capsys)
+        assert err.startswith("config error: ") and "schedule.seed" in err, err
+        assert not (tmp_path / "f").exists()
+
     def test_output_dir_below_a_file(self, tmp_path, sbt_dir, capsys):
         afile = tmp_path / "afile"
         afile.write_text("", encoding="utf-8")
@@ -361,8 +398,7 @@ class TestRender:
     def test_inconsistent_sample_is_data_error(self, tmp_path, fit_dir, sbt_dir, capsys, field, value):
         doc = json.loads((fit_dir / "point_estimate_chain0.json").read_text())
         doc["entities"][1][field] = value
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc), encoding="utf-8")
+        bad = write_sample_beside(doc, tmp_path, fit_dir)
         for args in (("render", bad), ("eval", bad, sbt_dir / "truth.tsv", "--out-dir", tmp_path / "m"),
                      ("relations", bad, sbt_dir / "triples.tsv", "--out", tmp_path / "r.csv")):
             assert run_cli(*args) == 2, args
@@ -379,17 +415,31 @@ class TestRender:
     ], ids=["not-an-object", "string-entity", "number-path", "empty-tree", "tree-of-other-paths", "huge-ids"])
     def test_malformed_sample_is_data_error(self, tmp_path, fit_dir, sbt_dir, capsys, malform):
         doc = json.loads((fit_dir / "point_estimate_chain0.json").read_text())
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(malform(doc)), encoding="utf-8")
+        bad = write_sample_beside(malform(doc), tmp_path, fit_dir)
         for args in (("render", bad), ("eval", bad, sbt_dir / "truth.tsv", "--out-dir", tmp_path / "m"),
                      ("relations", bad, sbt_dir / "triples.tsv", "--out", tmp_path / "r.csv")):
             assert run_cli(*args) == 2, args
             assert_one_line_error(capsys)
 
-    @pytest.mark.parametrize("content", [b"", b"\x93N"], ids=["empty", "two-bytes"])
+    def test_level_other_than_the_indicator_mode_is_data_error(self, tmp_path, fit_dir, sbt_dir, capsys):
+        doc = json.loads((fit_dir / "point_estimate_chain0.json").read_text())
+        entity = doc["entities"][1]
+        entity["level"] = 3 - entity["level"]  # the other level of the depth-2 fit
+        bad = write_sample_beside(doc, tmp_path, fit_dir)
+        for args in (("render", bad), ("eval", bad, sbt_dir / "truth.tsv", "--out-dir", tmp_path / "m"),
+                     ("relations", bad, sbt_dir / "triples.tsv", "--out", tmp_path / "r.csv")):
+            assert run_cli(*args) == 2, args
+            err = assert_one_line_error(capsys)
+            assert entity["label"] in err and "mode" in err, err
+
+    @pytest.mark.parametrize("content", [b"", b"\x93N", None], ids=["empty", "two-bytes", "missing"])
     def test_unreadable_indicators_file_is_data_error(self, tmp_path, fit_dir, sbt_dir, capsys, content):
         point = fit_dir / "point_estimate_chain0.json"
-        (fit_dir / "point_estimate_chain0.indicators.npy").write_bytes(content)
+        indicators = fit_dir / "point_estimate_chain0.indicators.npy"
+        if content is None:
+            indicators.unlink()
+        else:
+            indicators.write_bytes(content)
         for args in (("render", point), ("eval", point, sbt_dir / "truth.tsv", "--out-dir", tmp_path / "m"),
                      ("relations", point, sbt_dir / "triples.tsv", "--out", tmp_path / "r.csv")):
             assert run_cli(*args) == 2, args
@@ -417,6 +467,7 @@ class TestRelations:
         }
         sample_path = tmp_path / "empty.json"
         sample_path.write_text(json.dumps(sample), encoding="utf-8")
+        np.save(tmp_path / "empty.indicators.npy", np.empty((0, 0, 2), dtype=np.uint8))
         triples = tmp_path / "none.tsv"
         triples.write_text("", encoding="utf-8")
         out = tmp_path / "rel.csv"

@@ -3,17 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hiersbm import hierarchy
-from hiersbm.hierarchy import (
-    ROOT_ID,
-    coarsen,
-    divergence_level,
-    divergence_levels,
-    route_level,
-    route_pairs,
-)
+from hiersbm.hierarchy import ROOT_ID, divergence_levels, route_level, route_pairs
 from hiersbm.kgraph import KnowledgeGraph
 from hiersbm.sampler import SamplerState
 from hiersbm.stats import Hyperparameters
+from routing_oracle import coarsen, divergence_level
 from tree_oracle import Hierarchy
 
 

@@ -165,22 +165,9 @@ def toy_sample():
         (1, 4), (1, 4), (1, 4),
         (2, 5), (2, 5), (2, 5), (2, 5),
     ]
-    levels = [2, 2, 1, 2, 2, 1, 2, 1, 2, 1]
-    tree = {
-        "id": 0, "level": 0, "pass_count": 10,
-        "children": [
-            {"id": 1, "level": 1, "pass_count": 6, "children": [
-                {"id": 3, "level": 2, "pass_count": 3, "children": []},
-                {"id": 4, "level": 2, "pass_count": 3, "children": []},
-            ]},
-            {"id": 2, "level": 1, "pass_count": 4, "children": [
-                {"id": 5, "level": 2, "pass_count": 4, "children": []},
-            ]},
-        ],
-    }
     return PosteriorSample(
-        iteration=1, log_likelihood=-1.0, tree=tree,
-        entity_labels=labels, paths=paths, levels=levels,
+        iteration=1, log_likelihood=-1.0, entity_labels=labels, paths=paths,
+        indicators=np.ones((len(paths), len(paths), 2), dtype=np.int64),
     )
 
 
@@ -201,8 +188,8 @@ class TestClustersAtLevel:
 
     def test_single_path_single_cluster(self):
         sample = PosteriorSample(
-            iteration=0, log_likelihood=0.0, tree={},
-            entity_labels=["a", "b"], paths=[(7, 9), (7, 9)], levels=[2, 2],
+            iteration=0, log_likelihood=0.0, entity_labels=["a", "b"], paths=[(7, 9), (7, 9)],
+            indicators=np.full((2, 2, 2), 2),
         )
         for level in (1, 2):
             assert len(set(clusters_at_level(sample, level).values())) == 1
