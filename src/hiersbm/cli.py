@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path as FsPath
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import __version__, metrics, sampler, synth
 from .kgraph import TripleParseError, load_triples, save_triples
-from .stats import Hyperparameters, Schedule
+from .stats import Hyperparameters, Schedule, check_priors
 
 __all__ = ["main", "ConfigError", "build_parser"]
 
@@ -330,10 +329,11 @@ def cmd_render(args) -> int:
 
 
 def cmd_relations(args) -> int:
-    for name, value in (("--lam", args.lam), ("--eta", args.eta)):
-        if not (math.isfinite(value) and value > 0):
-            print(f"error: {name} must be a finite number > 0, got {value}", file=sys.stderr)
-            return USAGE_ERROR
+    try:
+        check_priors({"--lam": args.lam, "--eta": args.eta, "--lam + --eta": args.lam + args.eta})
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     try:
         sample = sampler.load_sample_json(args.sample)
         kg = load_triples(args.triples)

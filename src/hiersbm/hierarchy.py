@@ -11,7 +11,8 @@ A ``Path`` omits the root: entry ``l-1`` is the community at level ``l``
 parent, together with a predicate, names one pairwise relation degree.  Two
 communities sharing a parent sit at one level, so an entity pair (x, y) is
 read at one level m, as ``(P[x, m-1], P[y, m-1])``; ``route_level`` is the
-rule that picks m, and the only one in the package.  The sampler counts per
+rule that picks m, and the only one in the package; ``route_pairs`` applies
+it to any set of pairs, all of them or one entity's.  The sampler counts per
 sibling pair, not per pair and predicate: one row
 ``[n, ones_0, ..., ones_{R-1}]`` for each occupied pair (a, b), holding the
 number of entity pairs routed there and the one-count of every predicate
@@ -100,18 +101,16 @@ def route_level(zs, zr, div, depth: int):
     return np.where(zs == zr, np.minimum(zs, div), np.where(div <= depth, div, np.minimum(zs, zr)))
 
 
-def route_pairs(P: np.ndarray, Zs: np.ndarray, Zr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Route all ordered pairs of the E paths in ``P`` at E x E levels ``Zs``, ``Zr``.
+def route_pairs(P: np.ndarray, zs, zr, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Route the pairs (x, y), broadcastable index arrays of the paths in ``P``, at their levels ``zs``, ``zr``.
 
-    Pair (x, y) goes to ``(P[x, m-1], P[y, m-1])`` at its ``route_level`` m.
-    Returns the distinct (a, b) community pairs, K x 2 in ascending order,
-    and the E x E index into them.
+    All pairs are ``x, y = e[:, None], e[None]``.  Pair (x, y) goes to
+    ``(P[x, m-1], P[y, m-1])`` at its ``route_level`` m.  Returns the distinct
+    (a, b) community pairs, K x 2 in ascending order, and the index into them.
     """
     P = np.asarray(P, dtype=np.int64)
-    m = route_level(Zs, Zr, divergence_levels(P[:, None, :], P[None, :, :]), P.shape[1]) - 1
-    rows = np.arange(len(P))
-    a = P[rows[:, None], m].ravel()
-    b = P[rows[None, :], m].ravel()
+    m = route_level(zs, zr, divergence_levels(P[x], P[y]), P.shape[1]) - 1
+    a, b = P[x, m], P[y, m]
     width = int(b.max(initial=0)) + 1
     keys, index = np.unique(a * width + b, return_inverse=True)
-    return np.stack(np.divmod(keys, width), axis=1), index.reshape(len(P), len(P))
+    return np.stack(np.divmod(keys, width), axis=1), index.reshape(m.shape)

@@ -37,24 +37,24 @@ leaves the pair and the indicator out in the arithmetic and scores one
 predictive likelihood per distinct key.  It writes the pair's counts only when
 the drawn level routes the pair to another key.
 
-A path move removes the entity's pairs, then scores all of its candidates in
-one pass over the tree the other entities' paths span, as arrays, then writes
-the chosen path and adds its pairs back.
-Removing and adding the pairs is one batched pass each: the entity's 2E - 1
-pairs are routed together and summed per sibling key, and ``rel`` is updated
-once per key.  Under a candidate path, each of the entity's pairs lands on a
-sibling key of one node of that path or on the node's diagonal key, so the
-collapsed evidence is a sum of per-node terms (the sibling keys a node shares
-with the other children of its parent, and its diagonal key), computed once
-per move in one batched ``stats.log_evidence_terms`` call.  The log nCRP
-prior is a sum of per-node terms too, from the pass counts.  An existing leaf
-scores the sum along its path, corrected at the diagonal keys that other
-entities on that leaf reach; a new branch below community p scores p's path
-sum plus one sibling term for the children of p it would join.  The
-candidates are ordered as a depth-first walk of the tree (children by
-ascending id, a community's new branch after its children) by one sort of
-their padded paths, and one uniform picks among them; the chosen row's new
-levels take the next ids, top down.
+A path move reads the entity's 2E - 1 pairs and their graph rows once, takes
+them out of the counts (one ``route_pairs`` call, and one ``rel`` update per
+sibling key), scores all of its candidates in one pass over the tree the other
+entities' paths span, as arrays, then writes the chosen path and adds the
+pairs back the same way.  The scorer reads each pair's ``route_level`` at
+every level where a candidate can leave the other entity's path.  Under a
+candidate, each pair lands on a sibling key of one node of that path or on the
+node's diagonal key, so the collapsed evidence is a sum of per-node terms (the
+sibling keys a node shares with the other children of its parent, and its
+diagonal key), computed once per move in one batched
+``stats.log_evidence_terms`` call.  The log nCRP prior is a sum of per-node
+terms too, from the pass counts.  An existing leaf scores the sum along its
+path, corrected at the diagonal keys that other entities on that leaf reach; a
+new branch below community p scores p's path sum plus one sibling term for the
+children of p it would join.  The candidates are ordered as a depth-first walk
+of the tree (children by ascending id, a community's new branch after its
+children) by one sort of their padded paths, and one uniform picks among them;
+the chosen row's new levels take the next ids, top down.
 
 ``level_conditional`` and ``path_conditional`` return a move's exact
 conditional without making the move, so the state they are given is never
@@ -232,33 +232,22 @@ class SamplerState:
         if not row[0]:
             del self.rel[key]
 
-    def _entity_pairs_apply(self, i: int, sign: int) -> None:
-        """Add or remove the counts of entity i's pairs: row i and column i, the self pair once.
+    def _entity_pairs(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Entity i's 2E - 1 pairs (x, y) and their ``[1, g...]`` rows: (i, j), then (j, i) over j != i, then (i, i)."""
+        others = np.flatnonzero(np.arange(self.E) != i)
+        mine = np.full(len(others), i)
+        x, y = np.concatenate([mine, others, [i]]), np.concatenate([others, mine, [i]])
+        return x, y, np.column_stack([np.ones(len(x), dtype=np.int64), self.G[x, y]])
 
-        One batched pass routes the 2E - 1 pairs by one row of divergence
-        levels and sums their ``[1, g...]`` rows per sibling key, then
-        updates ``rel`` once per key.
-        """
-        E, R = self.E, self.R
-        x = np.full(2 * E, i)
-        y = np.full(2 * E, i)
-        x[1::2] = y[0::2] = np.arange(E)
-        x, y = np.delete(x, 2 * i + 1), np.delete(y, 2 * i + 1)  # the self pair once
-        div = divergence_levels(self.P, self.P[i])[x + y - i]  # read at each pair's other entity
-        m = route_level(self.Z[x, y, SENDER], self.Z[x, y, RECEIVER], div, self.L) - 1
-        a, b = self.P[x, m], self.P[y, m]
-        width = int(b.max()) + 1
-        keys, at = np.unique(a * width + b, return_inverse=True)
-        cell = np.flatnonzero(self.G[x, y])  # the pairs' ones, pair-major
-        ones = np.bincount(at[cell // R] * R + cell % R, minlength=len(keys) * R).reshape(-1, R)
-        counts = sign * np.column_stack([np.bincount(at, minlength=len(keys)), ones])
-        rel = self.rel
-        for key, delta in zip(zip(*(k.tolist() for k in np.divmod(keys, width))), counts.tolist()):
-            row = rel.get(key)
-            if row is None:
-                rel[key] = delta
-            elif row[0] + delta[0]:
-                rel[key] = [c + v for c, v in zip(row, delta)]
+    def _entity_pairs_apply(self, pairs: tuple, sign: int) -> None:
+        """Add or remove ``_entity_pairs``' rows in ``rel``, routed by ``route_pairs`` and summed per sibling key."""
+        x, y, rows = pairs
+        keys, index = route_pairs(self.P, self.Z[x, y, SENDER], self.Z[x, y, RECEIVER], x, y)
+        rel, empty = self.rel, [0] * (self.R + 1)
+        for key, delta in zip(map(tuple, keys.tolist()), (sign * _sum_rows(index, rows, len(keys))).tolist()):
+            row = [c + v for c, v in zip(rel.get(key, empty), delta)]
+            if row[0]:
+                rel[key] = row
             else:
                 del rel[key]
 
@@ -306,68 +295,64 @@ class SamplerState:
         log = math.log
         return _weights_from_logs([log(p) + lls[k] for p, k in zip(prior, key_of)]), keys, key_of, cur
 
-    def _path_node_scores(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+    def _path_node_scores(self, i: int, pairs: tuple) -> tuple[np.ndarray, np.ndarray]:
         """Candidate paths of entity i and their log weights, from per-node sums along each path.
 
-        Entity i must be out of the counts.  Its path is not read: the
-        candidates continue the tree the other entities' paths span, so a
-        community that only entity i passes through is no candidate.  Each
-        candidate is a row of community ids, ``NEW`` from the level where it
-        branches new; the rows come in the order of a depth-first walk of the
-        tree, children by ascending id and a community's new branch after its
-        children.  Each log weight is the log nCRP prior plus the collapsed
-        evidence of all of the entity's interactions (both directions, all
-        predicates, the self pair once) routed under the candidate at the
-        current indicators.
+        ``pairs`` are ``_entity_pairs(i)``, and entity i must be out of the
+        counts.  Its path is not read: the candidates continue the tree the
+        other entities' paths span, so a community that only entity i passes
+        through is no candidate.  Each candidate is a row of community ids,
+        ``NEW`` from the level where it branches new; the rows come in the
+        order of a depth-first walk of the tree, children by ascending id and
+        a community's new branch after its children.  Each log weight is the
+        log nCRP prior plus the collapsed evidence of all of the entity's
+        interactions (both directions, all predicates, the self pair once)
+        routed under the candidate at the current indicators.
 
         Take a candidate path c and another entity j whose path leaves c at
-        level d (L+1 on a shared leaf).  Pair (i, j) goes to the sibling key
-        (c_d, P[j]_d) unless its indicators are equal at some z < d, which
-        sends it to the diagonal key (c_z, c_z), or d = L+1 and they differ,
-        which sends it to (c_m, c_m) at m = min(zs, zr); pair (j, i) routes
-        alike to (P[j]_d, c_d).  The self pair goes to (c_m, c_m).  No two of
-        these keys coincide, so the evidence is one term per node of c: the
-        sibling keys it shares with the other children of its parent, and its
-        diagonal key.  The log nCRP prior is a sum along c too:
-        log n_x / (n_parent + gamma) per node x, from the other entities' pass
-        counts, and log gamma / (n_p + gamma) where c branches new below
-        community p.  Prefix sums down the tree then score every existing leaf
-        and every new branch at once.
+        level d (L+1 on j's leaf).  ``route_level`` gives, for every d at once,
+        the level M(d) <= d a pair of i and j is read at: at M(d) = d the
+        sibling key of c_d and P[j]_d, below d the diagonal key of the node
+        both paths share there.  A pair is in that node's diagonal term, P[j]
+        at M(L+1), when every candidate through the node reads it there, and
+        otherwise in a correction on j's leaf.  The self pair lands on
+        (c_m, c_m), m its level at d = L+1.  No two of these keys coincide, so
+        the evidence is one term per node of c: the sibling keys it shares
+        with the other children of its parent, and its diagonal key.  The log
+        nCRP prior is a sum along c too: log n_x / (n_parent + gamma) per node
+        x, from the other entities' pass counts, and log gamma / (n_p + gamma)
+        where c branches new below community p.  Prefix sums down the tree
+        then score every existing leaf and every new branch at once.
         """
         L, R = self.L, self.R
-        others = np.flatnonzero(np.arange(self.E) != i)
-        nodes, Q = np.unique(self.P[others], return_inverse=True)
-        Q = Q.reshape(len(others), L)  # community index per other entity and level
+        x, y, rows = pairs
+        n = self.E - 1  # the other entities are y[:n], in ascending order
+        nodes, Q = np.unique(self.P[y[:n]], return_inverse=True)
+        Q = Q.reshape(n, L)  # community index per other entity and level
         N = len(nodes)
         level = np.zeros(N + 1, dtype=np.int64)  # index N is the root, at level 0
         level[Q] = np.arange(1, L + 1)
         parent = np.full(N, N)
         parent[Q[:, 1:]] = Q[:, :-1]
 
-        # rows [1, g_0, ..., g_{R-1}] of pairs (i, j) and (j, i), j in others, and of the self pair
-        W = np.ones((2, len(others), R + 1), dtype=np.int64)
-        W[0, :, 1:] = self.G[i, others]
-        W[1, :, 1:] = self.G[others, i]
-        zs = np.stack([self.Z[i, others, SENDER], self.Z[others, i, SENDER]])
-        zr = np.stack([self.Z[i, others, RECEIVER], self.Z[others, i, RECEIVER]])
-        eq = zs == zr
-        own = np.ones((1, R + 1), dtype=np.int64)
-        own[0, 1:] = self.G[i, i]
-        m = int(self.Z[i, i].min())
+        # M[p, d-1]: the level pair p is read at if the candidate leaves its other entity's path at d
+        d = np.arange(1, L + 2)
+        M = route_level(self.Z[x, y, SENDER][:, None], self.Z[x, y, RECEIVER][:, None], d, L)
+        m, own, M, W = M[-1, L], rows[-1:], M[:-1], rows[:-1]  # the self pair apart
+        j = np.tile(np.arange(n), 2)  # each pair's other entity, as a row of Q
 
-        # S[0, s], S[1, s]: rows that reach sibling s at its level undiverted, out and in
-        keep = ~(eq[:, :, None] & (zs[:, :, None] < np.arange(1, L + 1)))
-        at = (np.arange(2)[:, None, None] * N + Q)[keep]
-        S = _sum_rows(at, np.broadcast_to(W[:, :, None, :], keep.shape + (R + 1,))[keep], 2 * N).reshape(2, N, R + 1)
-        # diagonal rows: equal indicators at x's level under x, and the self pair at level m
-        j = np.broadcast_to(np.arange(len(others)), eq.shape)
-        diag_rows = _sum_rows(Q[j, zs - 1][eq], W[eq], N)
-        diag_rows[level[:N] == m] += own[0]
-        # same-leaf rows with unequal indicators, keyed by (leaf, diagonal node at the smaller level)
-        split = ~eq
-        fix_keys, fix_at = np.unique(
-            Q[j[split], L - 1] * N + Q[j[split], np.minimum(zs, zr)[split] - 1], return_inverse=True
-        )
+        # S[0, s], S[1, s]: rows that reach sibling s at its level, out and in
+        keep = M[:, :L] == d[:L]
+        at = (np.repeat([0, N], n)[:, None] + Q[j])[keep]
+        S = _sum_rows(at, np.broadcast_to(W[:, None, :], keep.shape + (R + 1,))[keep], 2 * N).reshape(2, N, R + 1)
+        # diagonal rows: pairs that every candidate through their node reads there, and the self pair
+        node = Q[j, M[:, L] - 1]
+        diag = np.all((M == M[:, L:]) | (d <= M[:, L:]), axis=1)
+        diag_rows = _sum_rows(node[diag], W[diag], N)
+        diag_rows[level[:N] == m] += own
+        # the other pairs reach their node's diagonal only on j's leaf: keyed by (leaf, node)
+        split = ~diag
+        fix_keys, fix_at = np.unique(Q[j[split], L - 1] * N + node[split], return_inverse=True)
         fix_leaf, fix_node = np.divmod(fix_keys, N)
         fix_rows = diag_rows[fix_node] + _sum_rows(fix_at, W[split], len(fix_keys))
 
@@ -397,7 +382,7 @@ class SamplerState:
         # and candidate node b against sibling a's pairs (j, i)
         node_term = np.bincount(a, out_ab, N) + np.bincount(b, in_ab, N) + diag
         # nCRP prior: pass counts of the other entities, the root's at index N
-        npass = np.append(np.bincount(Q.ravel(), minlength=N), len(others))
+        npass = np.append(np.bincount(Q.ravel(), minlength=N), n)
         log_denom = np.log(npass + self.hyper.gamma)
         node_term += np.log(npass[:N]) - log_denom[parent]
         prefix = np.zeros(N + 1)
@@ -409,7 +394,7 @@ class SamplerState:
         # candidates: every leaf, and a new branch below the root and below every
         # community above the leaves; row x of ``prefix_ids`` is x's path, then NEW
         through = np.empty(N, dtype=np.int64)  # an entity whose path passes x
-        through[Q] = np.arange(len(others))[:, None]
+        through[Q] = np.arange(n)[:, None]
         prefix_ids = np.full((N + 1, L), NEW)
         prefix_ids[:N] = np.where(np.arange(L) < level[:N, None], nodes[Q[through]], NEW)
         leaves, inner = np.flatnonzero(level == L), np.flatnonzero(level < L)
@@ -423,12 +408,13 @@ def _routed_counts(P: np.ndarray, Z: np.ndarray, triples: np.ndarray, R: int):
 
     ``triples`` holds the graph's ones as (subject, object, predicate) rows,
     subjects and objects indexing the rows of ``P``, each cell at most once;
-    ``R`` is the number of predicates.  Routing costs O(E^2) and the ones
-    are counted in O(T), one ``bincount`` of ``index[s, o] * R + r``, so no
-    E x E x R array is read.  Returns ``route_pairs``' K pairs (sorted) and
-    E x E index, the K x R one-counts and the K totals.
+    ``R`` is the number of predicates.  One all-pairs ``route_pairs`` call
+    routes in O(E^2), and one ``bincount`` of ``index[s, o] * R + r`` counts
+    the ones in O(T), so no E x E x R array is read.  Returns the K pairs
+    (sorted), the E x E index, the K x R one-counts and the K totals.
     """
-    pairs, index = route_pairs(P, Z[:, :, SENDER], Z[:, :, RECEIVER])
+    e = np.arange(len(P))
+    pairs, index = route_pairs(P, Z[:, :, SENDER], Z[:, :, RECEIVER], e[:, None], e[None])
     K = len(pairs)
     s, o, r = triples.T
     ones = np.bincount(index[s, o] * R + r, minlength=K * R).reshape(K, R)
@@ -553,14 +539,15 @@ def sample_path(state: SamplerState, i: int) -> None:
     down.  A community no path passes through any more is gone; its id is
     never used again.
     """
-    state._entity_pairs_apply(i, -1)
-    paths, logw = state._path_node_scores(i)
+    pairs = state._entity_pairs(i)
+    state._entity_pairs_apply(pairs, -1)
+    paths, logw = state._path_node_scores(i, pairs)
     path = paths[_categorical(state.rng.random(), np.exp(logw - logw.max()).tolist())]
     new = np.flatnonzero(path == NEW)
     path[new] = state.next_id + np.arange(len(new))
     state.next_id += len(new)
     state.P[i] = path
-    state._entity_pairs_apply(i, +1)
+    state._entity_pairs_apply(pairs, +1)
 
 
 def path_conditional(state: SamplerState, i: int) -> tuple[list[PathSpec], np.ndarray]:
@@ -572,8 +559,9 @@ def path_conditional(state: SamplerState, i: int) -> tuple[list[PathSpec], np.nd
     written.
     """
     probe = SamplerState(state.kg, state.hyper, state.rng, state.P, state.Z)
-    probe._entity_pairs_apply(i, -1)
-    paths, logw = probe._path_node_scores(i)
+    pairs = probe._entity_pairs(i)
+    probe._entity_pairs_apply(pairs, -1)
+    paths, logw = probe._path_node_scores(i, pairs)
     return [_spec(p) for p in paths], _normalized(np.exp(logw - logw.max()))
 
 

@@ -35,6 +35,7 @@ from scipy.special import gammaln
 __all__ = [
     "Schedule",
     "Hyperparameters",
+    "check_priors",
     "log_beta_fn",
     "log_evidence_terms",
     "level_log_likelihood",
@@ -98,9 +99,8 @@ class Hyperparameters:
     schedule: Schedule | None = None
 
     def validate(self) -> None:
-        for name in ("gamma", "sigma", "lam", "eta"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0")
+        check_priors({"gamma": self.gamma, "sigma": self.sigma, "lam": self.lam, "eta": self.eta,
+                      "lam + eta": self.lam + self.eta})
         if not 0 < self.mu < 1:
             raise ValueError("mu must lie in (0, 1)")
         if self.depth < 1:
@@ -110,8 +110,8 @@ class Hyperparameters:
         if self.level_prior_mode == "dirichlet":
             if self.alpha is None or len(self.alpha) != self.depth:
                 raise ValueError("alpha must provide one positive value per level in dirichlet mode")
-            if not all(0 < a < math.inf for a in self.alpha):
-                raise ValueError("alpha entries must be finite and > 0")
+            check_priors({f"alpha[{k}]": a for k, a in enumerate(self.alpha)}
+                         | {f"the sum of alpha[{k}:]": ab for k, (_, _, ab) in enumerate(self.level_breaks)})
         elif self.alpha is not None:
             raise ValueError("alpha is only accepted with level_prior_mode 'dirichlet'")
         if self.schedule is not None:
@@ -129,6 +129,17 @@ class Hyperparameters:
             return ((self.mu * self.sigma, (1.0 - self.mu) * self.sigma, self.sigma),) * self.depth
         tails = [*accumulate(reversed(self.alpha))][::-1] + [0.0]  # alpha_l + ... + alpha_L
         return tuple(zip(self.alpha, tails[1:], tails))
+
+
+def check_priors(priors: dict[str, float]) -> None:
+    """Raise ``ValueError`` naming the first prior that is not finite and > 0 with a finite log-gamma.
+
+    The collapsed formulas read every prior through log-gamma, which would
+    turn a prior whose log-gamma is not finite into inf or nan.
+    """
+    for name, value in priors.items():
+        if not (0 < value < math.inf and math.isfinite(gammaln(value))):
+            raise ValueError(f"{name} must be finite and > 0 with a finite log-gamma, got {value!r}")
 
 
 def log_beta_fn(a: float, b: float) -> float:

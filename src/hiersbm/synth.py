@@ -184,7 +184,8 @@ def forward_generate(
         indicators[:, j, 1] = np.searchsorted(cum_j, rng.random(num_entities)) + 1
     np.clip(indicators, 1, depth, out=indicators)
 
-    pairs, index = route_pairs(paths, indicators[:, :, 0], indicators[:, :, 1])
+    e = np.arange(num_entities)
+    pairs, index = route_pairs(paths, indicators[:, :, 0], indicators[:, :, 1], e[:, None], e[None])
     theta = np.array([[relations[(a, b, r)] for r in range(num_predicates)] for a, b in pairs.tolist()])
     # one uniform per (i, j, r) in row-major order, the stream of a per-cell loop
     draws = rng.random((num_entities, num_entities, num_predicates)) < theta[index]

@@ -319,7 +319,8 @@ class TestFit:
         assert not (tmp_path / "f").exists()
 
     @pytest.mark.parametrize(
-        "key,value", [("gamma", "Infinity"), ("lambda", "Infinity"), ("sigma", "Infinity"), ("alpha", "[NaN, 1, 1]")]
+        "key,value", [("gamma", "Infinity"), ("lambda", "Infinity"), ("sigma", "Infinity"), ("alpha", "[NaN, 1, 1]"),
+                      ("lambda", "1e308"), ("gamma", "1e308")]  # 1e308 is finite, but its log-gamma is not
     )
     def test_non_finite_prior_rejected(self, tmp_path, sbt_dir, capsys, key, value):
         cfg = write_config(tmp_path, sbt_dir / "triples.tsv", tmp_path / "f")
@@ -490,7 +491,7 @@ class TestRelations:
             (f"t{a}", f"t{b}", plab[r]): v for (a, b, r), v in want.items()
         }
 
-    @pytest.mark.parametrize("flag,value", [("--lam", -0.5), ("--eta", 0.0), ("--lam", "nan")])
+    @pytest.mark.parametrize("flag,value", [("--lam", -0.5), ("--eta", 0.0), ("--lam", "nan"), ("--lam", 1e308)])
     def test_invalid_prior_rejected(self, tmp_path, fit_dir, sbt_dir, capsys, flag, value):
         out = tmp_path / "rel.csv"
         assert run_cli("relations", fit_dir / "point_estimate_chain0.json", sbt_dir / "triples.tsv",

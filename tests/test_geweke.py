@@ -44,7 +44,8 @@ def statistics(P, G):
 
 def redraw_graph(state, rng):
     """The state of the same paths and indicators on a graph drawn given them."""
-    pairs, index = route_pairs(state.P, state.Z[:, :, 0], state.Z[:, :, 1])
+    e = np.arange(E)
+    pairs, index = route_pairs(state.P, state.Z[:, :, 0], state.Z[:, :, 1], e[:, None], e[None])
     theta = rng.beta(HYPER.lam, HYPER.eta, size=(len(pairs), R))
     kg = KnowledgeGraph(state.kg.entities, state.kg.predicates, np.argwhere(rng.random((E, E, R)) < theta[index]))
     return SamplerState(kg, HYPER, state.rng, state.P, state.Z)

@@ -287,7 +287,8 @@ def pool_and_indicators(draw):
 @given(pool_and_indicators())
 def test_route_pairs_matches_coarsen(case):
     pool, Z = case
-    pairs, index = route_pairs(np.array(pool), Z[:, :, 0], Z[:, :, 1])
+    e = np.arange(len(pool))
+    pairs, index = route_pairs(np.array(pool), Z[:, :, 0], Z[:, :, 1], e[:, None], e[None])
     seen = set()
     for i, pi in enumerate(pool):
         for j, pj in enumerate(pool):
@@ -295,6 +296,25 @@ def test_route_pairs_matches_coarsen(case):
             assert tuple(pairs[index[i, j]]) == (a, b)
             seen.add((a, b))
     assert len(pairs) == len(seen)  # each pair once
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool_and_indicators(), st.data())
+def test_route_pairs_routes_any_subset_of_pairs(case, data):
+    # a subset of the pairs, in any order and with repeats, routes as the scalar rule and as all pairs do
+    pool, Z = case
+    n = len(pool)
+    x = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=12)), dtype=np.int64)
+    y = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=len(x), max_size=len(x))), dtype=np.int64)
+    P = np.array(pool)
+    pairs, index = route_pairs(P, Z[x, y, 0], Z[x, y, 1], x, y)
+    e = np.arange(n)
+    all_pairs, all_index = route_pairs(P, Z[:, :, 0], Z[:, :, 1], e[:, None], e[None])
+    assert index.shape == x.shape
+    assert len(pairs) == len({tuple(k) for k in pairs[index].tolist()})  # only the keys the subset reaches
+    for k, (i, j) in enumerate(zip(x.tolist(), y.tolist())):
+        a, b, _ = coarsen(pool[i], int(Z[i, j, 0]), pool[j], int(Z[i, j, 1]), 0)
+        assert tuple(pairs[index[k]]) == (a, b) == tuple(all_pairs[all_index[i, j]])
 
 
 @settings(max_examples=200, deadline=None)

@@ -463,14 +463,15 @@ def reference_sweep(state, tree, degrees):
     for i in range(E):
         if path_gates[i] < s[i]:
             prob = dict(zip(*path_conditional(state, i)))
-            state._entity_pairs_apply(i, -1)
+            pairs = state._entity_pairs(i)
+            state._entity_pairs_apply(pairs, -1)
             tree.remove_path(tuple(int(c) for c in state.P[i]))
             specs = list(ncrp_path_prior(tree, state.hyper.gamma))
             u = rng.random() * sum(prob[spec] for spec in specs)
             cum = np.cumsum([prob[spec] for spec in specs])
             state.P[i] = tree.add_path(specs[min(int(np.sum(cum <= u)), len(specs) - 1)])
             state.next_id = tree._next_id
-            state._entity_pairs_apply(i, +1)
+            state._entity_pairs_apply(pairs, +1)
     state.iteration += 1
     state.trace.append((state.iteration, complete_log_likelihood(state)))
 
@@ -813,13 +814,14 @@ def test_batched_entity_update_matches_pairwise_updates(n, n_pred, depth, densit
     rng = np.random.default_rng(seed + 1)
     for i in sorted({0, n - 1}):
         twin = copy.deepcopy(state, {id(kg): kg})
-        state._entity_pairs_apply(i, -1)
+        pairs = state._entity_pairs(i)
+        state._entity_pairs_apply(pairs, -1)
         pairwise_apply(twin, i, -1)
         assert state.rel == twin.rel
         redraw = rng.integers(1, depth + 1, (2, n, 2))
         for s in (state, twin):
             move_entity(s, i, pick, redraw)
-        state._entity_pairs_apply(i, +1)
+        state._entity_pairs_apply(pairs, +1)
         pairwise_apply(twin, i, +1)
         assert state.rel == twin.rel
         report = audit_counts(state)

@@ -409,15 +409,25 @@ class TestHyperparameters:
             self._valid(**{field: value}).validate()
 
     @pytest.mark.parametrize("field", ["gamma", "sigma", "lam", "eta"])
-    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 1e308])  # 1e308: finite, but its log-gamma is not
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(ValueError, match="finite"):
             self._valid(**{field: value}).validate()
 
-    @pytest.mark.parametrize("alpha", [(math.nan, 1.0, 1.0), (1.0, math.inf, 1.0), (1.0, 1.0, -math.inf)])
+    @pytest.mark.parametrize(
+        "alpha", [(math.nan, 1.0, 1.0), (1.0, math.inf, 1.0), (1.0, 1.0, -math.inf), (2e305, 2e305, 1.0)]
+    )
     def test_non_finite_alpha_rejected(self, alpha):
         with pytest.raises(ValueError, match="finite"):
             self._valid(level_prior_mode="dirichlet", alpha=alpha).validate()
+
+    def test_log_gamma_overflow_of_lam_plus_eta_rejected(self):
+        # lam and eta each have a finite log-gamma, their sum does not
+        with pytest.raises(ValueError, match="^lam \\+ eta must be finite"):
+            self._valid(lam=2e305, eta=2e305).validate()
+
+    def test_largest_priors_with_finite_log_gamma_pass(self):
+        self._valid(gamma=1e305, sigma=1e305, lam=1e305, eta=1e305).validate()
 
     def test_dirichlet_mode_requires_alpha(self):
         with pytest.raises(ValueError):
