@@ -81,10 +81,10 @@ class Hierarchy:
 def divergence_levels(P: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The first level at which two paths differ, along the last axis of two broadcastable path arrays.
 
-    Levels count from 1, and identical paths give depth + 1.
+    Levels count from 1, and identical paths give depth + 1.  The paths must
+    be paths of one tree, which agree on a prefix and nowhere below it.
     """
-    neq = np.asarray(P) != np.asarray(q)
-    return np.where(neq.any(axis=-1), neq.argmax(axis=-1) + 1, neq.shape[-1] + 1)
+    return (np.asarray(P) == np.asarray(q)).sum(axis=-1) + 1
 
 
 def route_level(zs, zr, div, depth: int):

@@ -12,17 +12,19 @@ incremental sufficient statistics are one count row per occupied sibling pair
 of communities, ``rel[(a, b)] = [n, ones_0, ..., ones_{R-1}]`` (the number of
 entity pairs routed there, then the one-count of each predicate among them),
 and one pooled level-indicator histogram ``ghist``, which the level prior
-reads.  ``rel`` is a plain map: no move or read-out depends on the order of
-its rows, and ``complete_log_likelihood`` adds its terms with ``math.fsum``,
-exactly rounded, so the value is a function of the counts alone.  A stored
-sample is an assignment too; its tree and level modes are derived when read.
-Every move scores its candidates with the collapsed formulas and the level
-model in ``stats``, against the counts with the moved contributions left out,
-and then writes the chosen configuration; ``audit_counts`` compares the
-incremental statistics with those of the state rebuilt from ``P`` and ``Z``.
-Candidate scoring runs in log space, and the log weights are shifted so that
-the largest is 0 before they are exponentiated, since candidate likelihood
-spreads exceed float range on dense graphs.
+reads.  After the constructor, ``SamplerState._add_rows`` alone writes
+``rel``; the graph is held once, as the read-only tensor ``G``.  ``rel`` is a
+plain map: no move or read-out depends on the order of its rows, and
+``complete_log_likelihood`` adds its terms with ``math.fsum``, exactly
+rounded, so the value is a function of the counts alone.  A stored sample is
+an assignment too; its tree and level modes are derived when read.  Every move
+scores its candidates with the collapsed formulas and the level model in
+``stats``, against the counts with the moved contributions left out, and then
+writes the chosen configuration; ``audit_counts`` compares the incremental
+statistics with those of the state rebuilt from ``P`` and ``Z``.  Candidate
+scoring runs in log space, and the log weights are shifted so that the largest
+is 0 before they are exponentiated, since candidate likelihood spreads exceed
+float range on dense graphs.
 
 A sweep's level pass finds the open gates with one array comparison, in
 (i, j, direction) order, and draws all their uniforms in one call (the same
@@ -34,13 +36,13 @@ every level routes the pair to one sibling key; the predictive likelihood is
 then the same at every level and cancels, so the move draws from the level
 prior alone, with the indicator left out of the histogram.  Otherwise it
 leaves the pair and the indicator out in the arithmetic and scores one
-predictive likelihood per distinct key.  It writes the pair's counts only when
-the drawn level routes the pair to another key.
+predictive likelihood per distinct key.  It writes only when the drawn level
+routes the pair to another key: one ``_add_rows`` call moves its ``[1, g]`` row.
 
 A path move reads the entity's 2E - 1 pairs and their graph rows once, takes
-them out of the counts (one ``route_pairs`` call, and one ``rel`` update per
-sibling key), scores all of its candidates in one pass over the tree the other
-entities' paths span, as arrays, then writes the chosen path and adds the
+them out of the counts (one ``route_pairs`` call and one ``_add_rows`` call),
+scores all of its candidates in one pass over the tree the other entities'
+paths span, as arrays, then writes the chosen path and adds the
 pairs back the same way.  The scorer reads each pair's ``route_level`` at
 every level where a candidate can leave the other entity's path.  Under a
 candidate, each pair lands on a sibling key of one node of that path or on the
@@ -86,7 +88,7 @@ import numpy as np
 from . import stats, synth
 from .hierarchy import Hierarchy, Path, PathSpec, divergence_levels, route_level, route_pairs
 from .kgraph import DegreeTable, KnowledgeGraph, degree_table
-from .stats import Hyperparameters
+from .stats import MAX_DEPTH, Hyperparameters
 
 __all__ = [
     "SamplerState",
@@ -161,10 +163,10 @@ class SamplerState:
 
     It copies ``paths`` (E x depth community ids >= 1) and ``Z`` (E x E x 2
     levels in 1..depth), so the caller's arrays are never written, and builds
-    the rest from them and the graph: ``G``, ``rel``, ``ghist`` and
-    ``next_id = max(paths) + 1``.  The moves draw from ``rng`` and work out
-    the paths' divergence levels where they read them.  The paths are taken
-    to span a tree; ``audit_counts`` checks that.
+    the rest from them and the graph: read-only ``G``, ``rel`` (which only
+    ``_add_rows`` writes after that), ``ghist`` and ``next_id = max(paths) + 1``.
+    The moves draw from ``rng`` and work out the paths' divergence levels where
+    they read them.  The paths are taken to span a tree; ``audit_counts`` checks that.
     """
 
     def __init__(self, kg: KnowledgeGraph, hyper: Hyperparameters, rng: np.random.Generator, paths, Z):
@@ -189,10 +191,8 @@ class SamplerState:
         if self.P.min() < 1 or not 1 <= self.Z.min() <= self.Z.max() <= self.L:
             raise ValueError(f"paths must hold community ids >= 1 and indicators levels in 1..{self.L}")
 
-        # the graph as bytes, pair (x, y) at (x*E + y)*R; ``G`` is a read-only view of them
-        G = kg.dense_tensor()
-        self._g = G.tobytes()
-        self.G = np.frombuffer(self._g, dtype=np.uint8).reshape(G.shape)
+        self.G = kg.dense_tensor()
+        self.G.flags.writeable = False
 
         self.next_id = int(self.P.max()) + 1
         # _level_table[d][other indicator] -> (distinct route levels, route index per level) of a
@@ -217,20 +217,15 @@ class SamplerState:
 
     # -- incremental counts ----------------------------------------------
 
-    def _pair_apply(self, x: int, y: int, sign: int, key: tuple[int, int]) -> None:
-        """Add or remove the (x, y) pair's counts at the sibling pair ``key``."""
-        row = self.rel.get(key)
-        if row is None:
-            row = self.rel[key] = [0] * (self.R + 1)
-        row[0] += sign
-        g, start = self._g, (x * self.E + y) * self.R
-        end = start + self.R
-        r = g.find(1, start, end)  # only the pair's ones
-        while r >= 0:
-            row[r - start + 1] += sign
-            r = g.find(1, r + 1, end)
-        if not row[0]:
-            del self.rel[key]
+    def _add_rows(self, keys, deltas) -> None:
+        """Add each delta row to its sibling key's ``rel`` row, as a new list; drop a row left with no pairs."""
+        rel, empty = self.rel, [0] * (self.R + 1)
+        for key, delta in zip(keys, deltas):
+            row = [c + v for c, v in zip(rel.get(key, empty), delta)]
+            if row[0]:
+                rel[key] = row
+            else:
+                del rel[key]
 
     def _entity_pairs(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Entity i's 2E - 1 pairs (x, y) and their ``[1, g...]`` rows: (i, j), then (j, i) over j != i, then (i, i)."""
@@ -240,28 +235,22 @@ class SamplerState:
         return x, y, np.column_stack([np.ones(len(x), dtype=np.int64), self.G[x, y]])
 
     def _entity_pairs_apply(self, pairs: tuple, sign: int) -> None:
-        """Add or remove ``_entity_pairs``' rows in ``rel``, routed by ``route_pairs`` and summed per sibling key."""
+        """Add or remove ``_entity_pairs``' rows: routed by ``route_pairs``, summed per sibling key, written by ``_add_rows``."""
         x, y, rows = pairs
         keys, index = route_pairs(self.P, self.Z[x, y, SENDER], self.Z[x, y, RECEIVER], x, y)
-        rel, empty = self.rel, [0] * (self.R + 1)
-        for key, delta in zip(map(tuple, keys.tolist()), (sign * _sum_rows(index, rows, len(keys))).tolist()):
-            row = [c + v for c, v in zip(rel.get(key, empty), delta)]
-            if row[0]:
-                rel[key] = row
-            else:
-                del rel[key]
+        self._add_rows(map(tuple, keys.tolist()), (sign * _sum_rows(index, rows, len(keys))).tolist())
 
     # -- conditional distributions ----------------------------------------
 
     def _level_weights(
         self, i: int, j: int, direction: int, div: int
-    ) -> tuple[list[float], list[tuple], list[int], int]:
+    ) -> tuple[list[float], list[tuple], list[int], int, list[int] | None]:
         """Weigh levels 1..L of one indicator of pair (i, j) without writing the state.
 
         ``div`` is the level at which the pair's paths diverge.  Returns
         unnormalised linear weights, the distinct sibling keys the levels
-        route the pair to, each level's index among those keys, and the
-        indicator's current level.
+        route the pair to, each level's index among those keys, the
+        indicator's current level and the pair's graph row ``G[i, j]``.
         The indicator's histogram entry is left out of the level prior.  When
         every level routes the pair to one key, the predictive likelihood is
         the same at every level and cancels, so the weights are the prior
@@ -278,12 +267,11 @@ class SamplerState:
         hist[cur - 1] -= 1
         prior = stats.level_prior(hist, self.hyper)
         if len(routes) == 1:
-            return prior, [], key_of, cur
+            return prior, [], key_of, cur, None
         keys = [(P.item(i, m - 1), P.item(j, m - 1)) for m in routes]
         own = key_of[cur - 1]
         lam, eta = self.hyper.lam, self.hyper.eta
-        start = (i * self.E + j) * self.R
-        g = self._g[start : start + self.R]  # one predicate value per byte
+        g = self.G[i, j].tolist()
         empty = [0] * (self.R + 1)
         lls = []
         for k, key in enumerate(keys):
@@ -293,7 +281,7 @@ class SamplerState:
                 ones = [c - v for c, v in zip(ones, g)]
             lls.append(stats.level_log_likelihood(g, ones, n, lam, eta))
         log = math.log
-        return _weights_from_logs([log(p) + lls[k] for p, k in zip(prior, key_of)]), keys, key_of, cur
+        return _weights_from_logs([log(p) + lls[k] for p, k in zip(prior, key_of)]), keys, key_of, cur, g
 
     def _path_node_scores(self, i: int, pairs: tuple) -> tuple[np.ndarray, np.ndarray]:
         """Candidate paths of entity i and their log weights, from per-node sums along each path.
@@ -485,7 +473,7 @@ def init_state(kg: KnowledgeGraph, hyper: Hyperparameters, rng: np.random.Genera
 
 def _level_move(state: SamplerState, i: int, j: int, direction: int, div: int, u: float) -> None:
     """Resample one indicator of pair (i, j), whose paths diverge at ``div``, in place; its draw reads ``u``."""
-    w, keys, key_of, old = state._level_weights(i, j, direction, div)
+    w, keys, key_of, old, g = state._level_weights(i, j, direction, div)
     new = _categorical(u, w) + 1
     if new == old:
         return
@@ -494,8 +482,8 @@ def _level_move(state: SamplerState, i: int, j: int, direction: int, div: int, u
     state.ghist[new] += 1
     was, now = key_of[old - 1], key_of[new - 1]
     if now != was:
-        state._pair_apply(i, j, -1, keys[was])
-        state._pair_apply(i, j, +1, keys[now])
+        row = [1, *g]
+        state._add_rows((keys[was], keys[now]), ([-v for v in row], row))
 
 
 def sample_level_indicator(state: SamplerState, i: int, j: int, direction: int) -> None:
@@ -886,13 +874,17 @@ def _is_int(value) -> bool:
 def load_sample_json(path) -> PosteriorSample:
     """Read a sample that ``write_sample_json`` wrote: the JSON file and the indicators file beside it.
 
-    Raises ``ValueError`` for files that hold no such sample: JSON of the
-    wrong shape, paths of unequal length, a missing indicators file or one
-    that holds no .npy array of E x E x 2 levels in 1..depth, or a tree or an
-    entity level other than the one derived from the paths and indicators.
+    Raises ``ValueError`` for files that hold no such sample: JSON too deep
+    to parse or of the wrong shape, paths of unequal length or of more than
+    ``MAX_DEPTH`` levels, a missing indicators file or one that holds no .npy
+    array of E x E x 2 levels in 1..depth, or a tree or an entity level other
+    than the one derived from the paths and indicators.
     """
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError as exc:
+            raise ValueError(f"sample {path} is nested too deeply to read") from exc
     if not (isinstance(doc, dict) and isinstance(doc.get("entities"), list) and _is_int(doc.get("iteration"))
             and isinstance(doc.get("log_likelihood"), (int, float))):
         raise ValueError('a sample is a JSON object with an integer "iteration", a "log_likelihood" and an "entities" list')
@@ -906,6 +898,8 @@ def load_sample_json(path) -> PosteriorSample:
     n = len(entities)
     paths = [tuple(e["path"]) for e in entities]
     depth = len(paths[0]) if paths else 0
+    if depth > MAX_DEPTH:
+        raise ValueError(f"sample paths have {depth} levels, more than {MAX_DEPTH}")
     for e, entity_path in zip(entities, paths):
         if len(entity_path) != depth:
             raise ValueError(f"entity {e['label']!r} has a path of length {len(entity_path)}, expected {depth}")

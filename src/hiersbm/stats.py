@@ -43,6 +43,8 @@ __all__ = [
     "level_log_marginal",
 ]
 
+MAX_DEPTH = 255  # the deepest level a stored sample's uint8 indicators file holds
+
 
 @dataclass(frozen=True)
 class Schedule:
@@ -103,8 +105,8 @@ class Hyperparameters:
                       "lam + eta": self.lam + self.eta})
         if not 0 < self.mu < 1:
             raise ValueError("mu must lie in (0, 1)")
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
+        if not 1 <= self.depth <= MAX_DEPTH:
+            raise ValueError(f"depth must lie in 1..{MAX_DEPTH}, the levels a stored sample holds, got {self.depth}")
         if self.level_prior_mode not in ("stick", "dirichlet"):
             raise ValueError("level_prior_mode must be 'stick' or 'dirichlet'")
         if self.level_prior_mode == "dirichlet":

@@ -251,6 +251,17 @@ class TestFit:
         assert assert_one_line_error(capsys).startswith("config error: ")
         assert not (tmp_path / "f").exists()
 
+    def test_depth_beyond_a_uint8_level_is_config_error(self, tmp_path, sbt_dir, capsys):
+        # a stored sample keeps its levels as uint8, so deeper levels would wrap
+        cfg = write_config(tmp_path, sbt_dir / "triples.tsv", tmp_path / "f")
+        config = json.loads(cfg.read_text())
+        config["model"]["depth"] = 256
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        assert run_cli("fit", cfg) == 1
+        err = assert_one_line_error(capsys)
+        assert err.startswith("config error: ") and "255" in err, err
+        assert not (tmp_path / "f").exists()
+
     def test_dirichlet_fit(self, tmp_path, sbt_dir):
         cfg = write_config(tmp_path, sbt_dir / "triples.tsv", tmp_path / "f")
         config = json.loads(cfg.read_text())
@@ -417,6 +428,20 @@ class TestRender:
     def test_malformed_sample_is_data_error(self, tmp_path, fit_dir, sbt_dir, capsys, malform):
         doc = json.loads((fit_dir / "point_estimate_chain0.json").read_text())
         bad = write_sample_beside(malform(doc), tmp_path, fit_dir)
+        for args in (("render", bad), ("eval", bad, sbt_dir / "truth.tsv", "--out-dir", tmp_path / "m"),
+                     ("relations", bad, sbt_dir / "triples.tsv", "--out", tmp_path / "r.csv")):
+            assert run_cli(*args) == 2, args
+            assert_one_line_error(capsys)
+
+    def test_sample_nested_beyond_the_recursion_limit_is_data_error(self, tmp_path, sbt_dir, capsys):
+        depth = 1500
+        node = '{{"id": {0}, "level": {0}, "pass_count": 1, "children": ['
+        tree = "".join(node.format(level) for level in range(depth + 1)) + "]}" * (depth + 1)
+        entity = json.dumps({"label": "e0", "level": 1, "path": list(range(1, depth + 1))})
+        bad = tmp_path / "deep.json"
+        bad.write_text(f'{{"iteration": 0, "log_likelihood": 0.0, "entities": [{entity}], "tree": {tree}}}',
+                       encoding="utf-8")
+        np.save(tmp_path / "deep.indicators.npy", np.ones((1, 1, 2), dtype=np.uint8))
         for args in (("render", bad), ("eval", bad, sbt_dir / "truth.tsv", "--out-dir", tmp_path / "m"),
                      ("relations", bad, sbt_dir / "triples.tsv", "--out", tmp_path / "r.csv")):
             assert run_cli(*args) == 2, args

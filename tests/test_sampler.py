@@ -122,6 +122,16 @@ def oracle_key(state, i, j):
     return coarsen(pi, int(state.Z[i, j, 0]), pj, int(state.Z[i, j, 1]), 0)[:2]
 
 
+def pair_apply(state, x, y, sign, key):
+    """Add or remove pair (x, y)'s counts at the sibling pair ``key`` in place, one predicate's one at a time."""
+    row = state.rel.setdefault(key, [0] * (state.R + 1))
+    row[0] += sign
+    for r in np.flatnonzero(state.G[x, y]).tolist():
+        row[r + 1] += sign
+    if not row[0]:
+        del state.rel[key]
+
+
 def oracle_path_candidates(paths_minus, depth):
     prefixes = {()}
     for p in paths_minus:
@@ -138,6 +148,7 @@ class TestInitState:
         kg = KnowledgeGraph({"a": 0}, {"p": 0}, set())
         state = init_state(kg, hyper_with(depth=1), np.random.default_rng(0))
         assert state.Z.shape == (1, 1, 2)
+        assert not state.G.flags.writeable
         assert audit_counts(state).ok
 
     def test_tiny_gamma_shares_one_path(self):
@@ -262,9 +273,9 @@ class TestLevelIndicatorMove:
                 for d in (0, 1):
                     twin = copy.deepcopy(state, {id(kg): kg})
                     sample_level_indicator(state, i, j, d)
-                    twin._pair_apply(i, j, -1, oracle_key(twin, i, j))
+                    pair_apply(twin, i, j, -1, oracle_key(twin, i, j))
                     twin.Z[i, j, d] = state.Z[i, j, d]
-                    twin._pair_apply(i, j, +1, oracle_key(twin, i, j))
+                    pair_apply(twin, i, j, +1, oracle_key(twin, i, j))
                     assert state.rel == twin.rel
         assert audit_counts(state).ok
 
@@ -780,9 +791,9 @@ def test_tree_term_matches_sequential_seating(n, depth, gamma, seed, moves):
 def pairwise_apply(state, i, sign):
     """Entity i's pairs one at a time, each at its ``coarsen`` key, the self pair once."""
     for j in range(state.E):
-        state._pair_apply(i, j, sign, oracle_key(state, i, j))
+        pair_apply(state, i, j, sign, oracle_key(state, i, j))
         if j != i:
-            state._pair_apply(j, i, sign, oracle_key(state, j, i))
+            pair_apply(state, j, i, sign, oracle_key(state, j, i))
 
 
 def move_entity(state, i, pick, redraw):
@@ -1117,6 +1128,18 @@ class TestPersistence:
         assert rebuilt.rel == state.rel
         assert rebuilt.ghist == state.ghist
         assert complete_log_likelihood(rebuilt) == complete_log_likelihood(state) == loaded.log_likelihood
+
+    @pytest.mark.parametrize("depth", [255, 256])
+    def test_paths_deeper_than_a_uint8_level_rejected(self, tmp_path, depth):
+        # the indicators file stores levels as uint8, so a deeper level would wrap
+        sample = sampler.PosteriorSample(0, 0.0, ["a"], [tuple(range(1, depth + 1))], np.full((1, 1, 2), depth))
+        path = tmp_path / "sample.json"
+        write_sample_json(sample, path)
+        if depth <= stats.MAX_DEPTH:
+            assert load_sample_json(path) == sample
+        else:
+            with pytest.raises(ValueError, match="256 levels, more than 255"):
+                load_sample_json(path)
 
 
 @pytest.mark.parametrize("level", [0, 4])

@@ -402,7 +402,7 @@ class TestHyperparameters:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("gamma", 0.0), ("mu", 1.0), ("mu", 0.0), ("sigma", -1.0), ("lam", 0.0), ("eta", 0.0), ("depth", 0)],
+        [("gamma", 0.0), ("mu", 1.0), ("mu", 0.0), ("sigma", -1.0), ("lam", 0.0), ("eta", 0.0), ("depth", 0), ("depth", 256)],
     )
     def test_bounds_rejected(self, field, value):
         with pytest.raises(ValueError):
