@@ -119,6 +119,8 @@ def _load_run_config(args) -> tuple[Hyperparameters, FsPath, FsPath, dict]:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError("config is nested too deeply to read") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
 

@@ -27,17 +27,25 @@ is 0 before they are exponentiated, since candidate likelihood spreads exceed
 float range on dense graphs.
 
 A sweep's level pass finds the open gates with one array comparison, in
-(i, j, direction) order, and draws all their uniforms in one call (the same
-numbers as one draw per move), and the paths' E x E divergence levels once,
-since no level move changes a path; one level-move body then runs per open
-gate.  A level move only reads the counts while it scores, and weighs the L
-levels by linear weights that one categorical draw reads.  In most moves
+(i, j, direction) order, draws all their uniforms in one call (the same
+numbers as one draw per move), and takes the paths' E x E divergence levels
+once, since no level move changes a path.  ``_level_pass`` then runs all the
+moves in one loop over ``Z`` and ``P`` read as lists, and writes ``Z`` back
+once.  A level move only reads the counts while it scores.  In most moves
 every level routes the pair to one sibling key; the predictive likelihood is
 then the same at every level and cancels, so the move draws from the level
-prior alone, with the indicator left out of the histogram.  Otherwise it
+prior alone, with the indicator left out of the histogram.  The pass
+memoises that prior, with its running sums, its sum and its logs, under an
+integer code of the leave-one-out histogram (its counts as the digits of a
+base-(2E² + 1) number), so a move whose histogram recurs draws with one
+``bisect``; the memo holds at most ``PRIOR_MEMO`` levels and ends with the
+pass, so a state held between sweeps keeps none of it.  Otherwise the move
 leaves the pair and the indicator out in the arithmetic and scores one
-predictive likelihood per distinct key.  It writes only when the drawn level
-routes the pair to another key: one ``_add_rows`` call moves its ``[1, g]`` row.
+predictive likelihood per distinct key, from the log lists in ``stats``.
+The levels a pair is read at, per divergence level and other indicator, are
+worked out on first read and kept.  A move writes the counts only when the
+drawn level routes the pair to another key: one ``_add_rows`` call moves its
+``[1, g]`` row.
 
 A path move reads the entity's 2E - 1 pairs and their graph rows once, takes
 them out of the counts (one ``route_pairs`` call and one ``_add_rows`` call),
@@ -59,8 +67,9 @@ children) by one sort of their padded paths, and one uniform picks among them;
 the chosen row's new levels take the next ids, top down.
 
 ``level_conditional`` and ``path_conditional`` return a move's exact
-conditional without making the move, so the state they are given is never
-written: the level probe runs the level move's read-only scorer, and the path
+conditional without making the move, so the paths, indicators and counts of
+the state they are given are never written: the level probe reads the level
+pass's scorer (``_level_prior`` and ``_level_log_weights``), and the path
 probe removes and scores on a state built from the same assignment.
 
 One chain owns one state exclusively; the full conditionals are sequential,
@@ -75,12 +84,14 @@ import json
 import math
 import multiprocessing
 import os
+from bisect import bisect_right
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
+from operator import mul
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -122,6 +133,7 @@ Trace = list  # list of (iteration, complete log-likelihood) pairs
 SENDER = 0
 RECEIVER = 1
 NEW = np.iinfo(np.int64).max  # a path move's candidate row holds this where it branches new
+PRIOR_MEMO = 256  # levels of leave-one-out priors (entries x depth) a level pass keeps before it empties its memo
 MAX_ID = 2**31 - 1  # the largest community id a stored sample may hold: ``route_pairs`` packs two ids into one int64
 
 
@@ -166,7 +178,9 @@ class SamplerState:
     the rest from them and the graph: read-only ``G``, ``rel`` (which only
     ``_add_rows`` writes after that), ``ghist`` and ``next_id = max(paths) + 1``.
     The moves draw from ``rng`` and work out the paths' divergence levels where
-    they read them.  The paths are taken to span a tree; ``audit_counts`` checks that.
+    they read them, and ``_level_cells`` keeps the routing cells the level
+    moves have read.  The paths are taken to span a tree; ``audit_counts``
+    checks that.
     """
 
     def __init__(self, kg: KnowledgeGraph, hyper: Hyperparameters, rng: np.random.Generator, paths, Z):
@@ -195,11 +209,7 @@ class SamplerState:
         self.G.flags.writeable = False
 
         self.next_id = int(self.P.max()) + 1
-        # _level_table[d][other indicator] -> (distinct route levels, route index per level) of a
-        # pair diverging at d, for either direction since ``route_level`` is symmetric; index 0 unused
-        levels = np.arange(1, self.L + 1)
-        table = route_level(levels, np.arange(self.L + 1)[:, None], np.arange(self.L + 2)[:, None, None], self.L)
-        self._level_table = [[_by_route(routes) for routes in plane] for plane in table.tolist()]
+        self._level_cells: dict[int, tuple[list[int], list[int]]] = {}  # see _level_cell
 
         pairs, _, ones, totals = _routed_counts(self.P, self.Z, kg.triples, self.R)
         self.rel: dict[tuple[int, int], list[int]] = dict(
@@ -242,46 +252,54 @@ class SamplerState:
 
     # -- conditional distributions ----------------------------------------
 
-    def _level_weights(
-        self, i: int, j: int, direction: int, div: int
-    ) -> tuple[list[float], list[tuple], list[int], int, list[int] | None]:
-        """Weigh levels 1..L of one indicator of pair (i, j) without writing the state.
+    def _level_cell(self, div: int, other: int) -> tuple[list[int], list[int]]:
+        """The levels a pair diverging at ``div`` is read at, against the other indicator at ``other``.
 
-        ``div`` is the level at which the pair's paths diverge.  Returns
-        unnormalised linear weights, the distinct sibling keys the levels
-        route the pair to, each level's index among those keys, the
-        indicator's current level and the pair's graph row ``G[i, j]``.
-        The indicator's histogram entry is left out of the level prior.  When
-        every level routes the pair to one key, the predictive likelihood is
-        the same at every level and cancels, so the weights are the prior
-        alone; no key is built, since the pair's counts cannot move.
-        Otherwise each key scores one ``level_log_likelihood`` with the
-        pair's own row left out in the arithmetic (its current key scores
-        ``n - 1`` pairs and ``ones - g`` ones), and the weights are the
-        exponentiated log weights, shifted so that the largest is 1.
+        Returns the distinct ``route_level`` values over levels 1..L of the
+        moving indicator, in first-appearance order, and each level's index
+        among them; either direction, since ``route_level`` is symmetric.
+        Built on first read and kept under ``div * (L + 1) + other``, so a
+        state holds only the cells its moves meet.
         """
-        Z, P = self.Z, self.P
-        cur, other = Z.item(i, j, direction), Z.item(i, j, 1 - direction)
-        routes, key_of = self._level_table[div][other]
+        key = div * (self.L + 1) + other
+        cell = self._level_cells.get(key)
+        if cell is None:
+            routes = route_level(np.arange(1, self.L + 1), other, div, self.L)
+            cell = self._level_cells[key] = _by_route(routes.tolist())
+        return cell
+
+    def _level_prior(self, cur: int) -> tuple[list[float], list[float], float, list[float]]:
+        """``stats.level_prior`` of the histogram with one indicator at level ``cur`` left out.
+
+        Returns the prior, its running sums, its ``sum`` and its logs (-inf
+        where it is 0): what a level move reads of it.
+        """
         hist = self.ghist[1:]
         hist[cur - 1] -= 1
         prior = stats.level_prior(hist, self.hyper)
-        if len(routes) == 1:
-            return prior, [], key_of, cur, None
-        keys = [(P.item(i, m - 1), P.item(j, m - 1)) for m in routes]
+        logs = [math.log(p) if p > 0 else -math.inf for p in prior]
+        return prior, list(accumulate(prior)), sum(prior), logs
+
+    def _level_log_weights(
+        self, i: int, j: int, Pi: list[int], Pj: list[int], cur: int, cell: tuple, logs: list[float]
+    ) -> tuple[list[float], list[tuple], list[int]]:
+        """Log weights of levels 1..L of an indicator of pair (i, j) whose levels reach two or more sibling keys.
+
+        ``Pi`` and ``Pj`` are the pair's paths, ``cur`` the indicator's level,
+        ``cell`` its ``_level_cell`` and ``logs`` its leave-one-out log prior.
+        Each key scores one ``level_log_likelihood``, the pair's own key with
+        the pair left out in the arithmetic; a level's log weight is its log
+        prior plus its key's.  Also returns the keys and the pair's graph row
+        ``G[i, j]``, which a move that changes key writes.
+        """
+        routes, key_of = cell
+        keys = [(Pi[m - 1], Pj[m - 1]) for m in routes]
         own = key_of[cur - 1]
-        lam, eta = self.hyper.lam, self.hyper.eta
         g = self.G[i, j].tolist()
-        empty = [0] * (self.R + 1)
-        lls = []
-        for k, key in enumerate(keys):
-            n, *ones = self.rel.get(key, empty)
-            if k == own:
-                n -= 1
-                ones = [c - v for c, v in zip(ones, g)]
-            lls.append(stats.level_log_likelihood(g, ones, n, lam, eta))
-        log = math.log
-        return _weights_from_logs([log(p) + lls[k] for p, k in zip(prior, key_of)]), keys, key_of, cur, g
+        rel, empty = self.rel, [0] * (self.R + 1)
+        lam, eta = self.hyper.lam, self.hyper.eta
+        lls = [stats.level_log_likelihood(g, rel.get(key, empty), k == own, lam, eta) for k, key in enumerate(keys)]
+        return [lp + lls[k] for lp, k in zip(logs, key_of)], keys, g
 
     def _path_node_scores(self, i: int, pairs: tuple) -> tuple[np.ndarray, np.ndarray]:
         """Candidate paths of entity i and their log weights, from per-node sums along each path.
@@ -471,23 +489,64 @@ def init_state(kg: KnowledgeGraph, hyper: Hyperparameters, rng: np.random.Genera
     return SamplerState(kg, hyper, rng, paths, Z)
 
 
-def _level_move(state: SamplerState, i: int, j: int, direction: int, div: int, u: float) -> None:
-    """Resample one indicator of pair (i, j), whose paths diverge at ``div``, in place; its draw reads ``u``."""
-    w, keys, key_of, old, g = state._level_weights(i, j, direction, div)
-    new = _categorical(u, w) + 1
-    if new == old:
-        return
-    state.Z[i, j, direction] = new
-    state.ghist[old] -= 1
-    state.ghist[new] += 1
-    was, now = key_of[old - 1], key_of[new - 1]
-    if now != was:
-        row = [1, *g]
-        state._add_rows((keys[was], keys[now]), ([-v for v in row], row))
+def _level_pass(state: SamplerState, moves: list[int], uniforms: list[float], divs: list[int]) -> None:
+    """Resample the level indicators ``moves`` in order, in place; move k reads ``uniforms[k]``.
+
+    Each move is a flat index (i * E + j) * 2 + direction into ``Z``, and
+    ``divs[k]`` is the level at which pair (i, j)'s paths diverge; no level
+    move changes a path.  The pass reads ``Z`` and ``P`` as lists and writes
+    ``Z`` back once at the end.  It memoises ``_level_prior`` under the
+    leave-one-out histogram's code, its counts as the digits of a
+    base-(2E² + 1) number (every count is smaller), which it keeps up to date
+    as levels change; the memo is emptied when its entries hold
+    ``PRIOR_MEMO`` levels, and it ends with the pass.  A move whose levels
+    all route the pair to one key draws from that prior alone: the first
+    level whose running sum exceeds ``u`` times the prior's ``sum``, as
+    ``_categorical`` picks.  Otherwise it draws from ``_level_log_weights``.
+    It writes the counts only when the drawn level routes the pair to
+    another key: one ``_add_rows`` call moves its ``[1, g]`` row.
+    """
+    E, L = state.E, state.L
+    Z = state.Z.ravel().tolist()
+    P = state.P.tolist()
+    ghist, cells = state.ghist, state._level_cells
+    powers = [(2 * E * E + 1) ** l for l in range(L)]
+    code = sum(map(mul, ghist[1:], powers))
+    priors: dict[int, tuple] = {}
+    for m, u, div in zip(moves, uniforms, divs):
+        cur, other = Z[m], Z[m ^ 1]
+        left_out = code - powers[cur - 1]
+        entry = priors.get(left_out)
+        if entry is None:
+            if len(priors) * L >= PRIOR_MEMO:
+                priors.clear()
+            entry = priors[left_out] = state._level_prior(cur)
+        prior, cums, total, logs = entry
+        cell = cells.get(div * (L + 1) + other) or state._level_cell(div, other)
+        if len(cell[0]) == 1:
+            new = bisect_right(cums, u * total) + 1
+            if new > L:
+                new = L
+        else:
+            i, j = divmod(m >> 1, E)
+            logw, keys, g = state._level_log_weights(i, j, P[i], P[j], cur, cell, logs)
+            new = _categorical(u, _weights_from_logs(logw)) + 1
+        if new == cur:
+            continue
+        Z[m] = new
+        ghist[cur] -= 1
+        ghist[new] += 1
+        code += powers[new - 1] - powers[cur - 1]
+        key_of = cell[1]
+        was, now = key_of[cur - 1], key_of[new - 1]
+        if now != was:
+            row = [1, *g]
+            state._add_rows((keys[was], keys[now]), ([-v for v in row], row))
+    state.Z[...] = np.reshape(Z, state.Z.shape)
 
 
 def sample_level_indicator(state: SamplerState, i: int, j: int, direction: int) -> None:
-    """Resample one level indicator of the ordered pair (i, j) in place.
+    """Resample one level indicator of the ordered pair (i, j) in place: ``_level_pass`` on one move.
 
     ``direction`` 0 resamples the sender's level, 1 the receiver's.  A level
     is drawn from prior times predictive likelihood, both read with the
@@ -498,7 +557,8 @@ def sample_level_indicator(state: SamplerState, i: int, j: int, direction: int) 
     state's generator, as each move of ``gibbs_iteration``'s level pass does.
     """
     if state.L > 1:
-        _level_move(state, i, j, direction, int(divergence_levels(state.P[i], state.P[j])), state.rng.random())
+        div = int(divergence_levels(state.P[i], state.P[j]))
+        _level_pass(state, [(i * state.E + j) * 2 + direction], [state.rng.random()], [div])
 
 
 def _normalized(w) -> np.ndarray:
@@ -509,12 +569,19 @@ def _normalized(w) -> np.ndarray:
 def level_conditional(state: SamplerState, i: int, j: int, direction: int) -> np.ndarray:
     """Exact conditional distribution of one indicator, over levels 1..L.
 
-    The levels are scored as ``sample_level_indicator`` scores them, which
-    writes nothing, so the state passed in is never written.
+    The levels are scored as ``_level_pass`` scores them, from
+    ``_level_prior`` and ``_level_log_weights``, which write no count, path
+    or indicator of the state passed in.
     """
     if state.L == 1:
         return np.ones(1)
-    return _normalized(state._level_weights(i, j, direction, int(divergence_levels(state.P[i], state.P[j])))[0])
+    cur, other = state.Z.item(i, j, direction), state.Z.item(i, j, 1 - direction)
+    prior, _, _, logs = state._level_prior(cur)
+    cell = state._level_cell(int(divergence_levels(state.P[i], state.P[j])), other)
+    if len(cell[0]) == 1:
+        return _normalized(prior)
+    Pi, Pj = state.P[i].tolist(), state.P[j].tolist()
+    return _normalized(_weights_from_logs(state._level_log_weights(i, j, Pi, Pj, cur, cell, logs)[0]))
 
 
 def sample_path(state: SamplerState, i: int) -> None:
@@ -562,9 +629,10 @@ def gibbs_iteration(state: SamplerState, degrees: DegreeTable) -> None:
 
     The level pass draws all 2E² gates, finds the open ones in (i, j,
     direction) order, and draws their uniforms in one call, which yields the
-    same numbers as one draw per move; each move then reads its own.  So the
-    stream is the one that ``sample_level_indicator`` called on each open
-    gate in that order would read.
+    same numbers as one draw per move; one ``_level_pass`` call then runs the
+    moves, each reading its own.  So the stream is the one that
+    ``sample_level_indicator`` called on each open gate in that order would
+    read.
     """
     E = state.E
     s = degrees.sampling_prob
@@ -574,8 +642,7 @@ def gibbs_iteration(state: SamplerState, degrees: DegreeTable) -> None:
         moves = np.flatnonzero(gates < thresholds)
         uniforms = state.rng.random(len(moves)).tolist()
         div = divergence_levels(state.P[:, None, :], state.P[None, :, :])  # no level move changes a path
-        for i, j, direction, u in zip(*(a.tolist() for a in np.unravel_index(moves, gates.shape)), uniforms):
-            _level_move(state, i, j, direction, div.item(i, j), u)
+        _level_pass(state, moves.tolist(), uniforms, div.ravel()[moves >> 1].tolist())
     path_gates = state.rng.random(E)
     for i in range(E):
         if path_gates[i] < s[i]:

@@ -1,24 +1,32 @@
 """Closed-form collapsed quantities and distribution helpers.
 
-Everything here is pure, apart from a per-process cache of log-gamma tables.
-Likelihood arithmetic runs in log space via log-gamma: pair counts reach 1e5
-at desk scale and raw Beta-function values underflow long before that.  The
-sampler's Beta-Bernoulli evidence lives here and nowhere else:
+Everything here is pure, apart from per-process caches of log-gamma and log
+tables.  Likelihood arithmetic runs in log space via log-gamma: pair counts
+reach 1e5 at desk scale and raw Beta-function values underflow long before
+that.  The sampler's Beta-Bernoulli evidence lives here and nowhere else:
 ``log_evidence_terms`` gives the evidence change of each count row
 ``[n, ones_0, ..., ones_{R-1}]`` (one per sibling pair), which the path scorer
 reads per candidate node and the complete log-likelihood sums in full.  It
 reads integer log-gamma tables, lgamma(k + lam), lgamma(k + eta) and
 lgamma(k + lam + eta), built once per (lam, eta) and grown on demand to the
 largest count seen, and takes the total-count term once per row.
+
 ``level_log_likelihood`` serves level-indicator moves whose candidate levels
 route the pair to two or more sibling keys, once per key; a move whose levels
-all reach one key draws from the level prior alone.  The level model lives
-here too: ``level_prior`` (the predictive every level move draws from) and
-``level_log_marginal`` (the indicators' term of the complete log-likelihood).
-Both read one generalized Dirichlet (Connor & Mosimann 1969), the Beta break
-parameters ``Hyperparameters.level_breaks``, whatever the level-prior mode.
-The path move sums the log nCRP path prior along the tree itself, from pass
-counts (see ``sampler``).
+all reach one key draws from the level prior alone.  It takes the key's count
+row and a flag for the pair's own key, so the pair is left out without a
+copy, and reads its per-predicate logs from per-process lists of
+log(k + lam) and log(k + eta), extended on demand, instead of calling
+``math.log``.  Its zero term reads log((n - k) + eta) where the loop it
+replaced computed log((n + eta) - k): the two are the same float wherever
+n + eta is exact, as at eta = 1, and may differ in the last bit otherwise.
+
+The level model lives here too: ``level_prior`` (the predictive every level
+move draws from) and ``level_log_marginal`` (the indicators' term of the
+complete log-likelihood).  Both read one generalized Dirichlet (Connor &
+Mosimann 1969), the Beta break parameters ``Hyperparameters.level_breaks``,
+whatever the level-prior mode.  The path move sums the log nCRP path prior
+along the tree itself, from pass counts (see ``sampler``).
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Sequence
 
 import numpy as np
@@ -191,24 +199,48 @@ def log_evidence_terms(base, added, lam: float, eta: float) -> np.ndarray:
     return per_predicate.sum(axis=0) - len(b1) * (total[n1] - total[n0])
 
 
-def level_log_likelihood(g: Sequence[int], ones: Sequence[int], n: int, lam: float, eta: float) -> float:
+_LOG: dict[float, list[float]] = {}
+
+
+def _log_table(c: float, top: int) -> list[float]:
+    """The list log(k + c) for k = 0, 1, ... past ``top``.
+
+    One list per constant c, kept for the process, so lam and eta share one
+    when they are equal.  A count past the end extends it in place by at
+    least a quarter, so it stays within a quarter of the largest count
+    read.  Each entry is ``math.log(k + c)``, the float the per-predicate
+    loop used to compute.
+    """
+    table = _LOG.setdefault(c, [])
+    have = len(table)
+    if have <= top:
+        log = math.log
+        table.extend([log(k + c) for k in range(have, max(top + 1, 64, have + have // 4))])
+    return table
+
+
+def level_log_likelihood(g: Sequence[int], row: Sequence[int], own: bool, lam: float, eta: float) -> float:
     """Log predictive probability of one pair's per-predicate values at a sibling pair.
 
-    ``g[r]`` is the pair's value of predicate r, ``ones[r]`` the one-count of
-    predicate r among the ``n`` pairs routed to the sibling pair (the pair
-    itself excluded).  This is the gamma-free form of the collapsed
-    Beta-Bernoulli ratio: each predicate contributes (ones+lam)/(n+lam+eta)
-    for a one and (n-ones+eta)/(n+lam+eta) for a zero.  Unvalidated: the
-    level move calls it once per distinct sibling key among its candidate
-    levels, and only when there are two or more such keys (with one, the
-    likelihood is the same at every level and cancels).
+    ``g[r]`` is the pair's value of predicate r and ``row`` the sibling
+    pair's count row ``[n, ones_0, ..., ones_{R-1}]``.  With ``own`` the pair
+    is one of those n and is left out in the arithmetic (n - 1 pairs, ones
+    minus g), so no row is copied.  This is the gamma-free form of the
+    collapsed Beta-Bernoulli ratio: with n and ones read after the leave-out,
+    each predicate contributes (ones+lam)/(n+lam+eta) for a one and
+    (n-ones+eta)/(n+lam+eta) for a zero.  The numerators' logs are read from
+    ``_log_table`` and added in predicate order; the denominator is one
+    ``math.log``.  Unvalidated: the level move calls it once per distinct
+    sibling key among its candidate levels, and only when there are two or
+    more such keys (with one, the likelihood is the same at every level and
+    cancels).
     """
-    log = math.log
-    zeros_eta = n + eta
+    n = row[0] - own
+    lam_logs, eta_logs = _log_table(lam, row[0]), _log_table(eta, row[0])
     out = 0.0
-    for v, k in zip(g, ones):
-        out += log(k + lam) if v else log(zeros_eta - k)
-    return out - len(g) * log(n + lam + eta)
+    for v, k in zip(g, islice(row, 1, None)):
+        out += lam_logs[k - own] if v else eta_logs[n - k]
+    return out - len(g) * math.log(n + lam + eta)
 
 
 def level_prior(hist: Sequence[int], hyper: Hyperparameters) -> list[float]:
@@ -218,7 +250,8 @@ def level_prior(hist: Sequence[int], hyper: Hyperparameters) -> list[float]:
     drawn excluded.  Each break takes its posterior mean (a + n_l) / (a + b +
     n_l + below), with ``below`` indicators under level l; the stick is
     truncated to ``len(hist)`` levels and renormalized.
-    Unvalidated: the level move calls it once per move.
+    Unvalidated: the level pass calls it once per leave-one-out histogram
+    that its memo does not hold (see ``sampler``).
     """
     below = sum(hist)
     raw = []

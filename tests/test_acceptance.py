@@ -90,7 +90,7 @@ def test_criterion_1_marginalization_oracles():
             den = math.lgamma(o + z + 1 + lam + eta) + math.lgamma(o + lam) + math.lgamma(z + eta)
             gamma_form *= math.exp(num - den)
         simplified = math.exp(
-            sum(level_log_likelihood([gv], [o], o + z, lam, eta) for gv, (o, z) in zip(g, counts))
+            sum(level_log_likelihood([gv], [o + z, o], False, lam, eta) for gv, (o, z) in zip(g, counts))
         )
         worst_level = max(worst_level, abs(simplified - gamma_form) / gamma_form)
 

@@ -262,6 +262,14 @@ class TestFit:
         assert err.startswith("config error: ") and "255" in err, err
         assert not (tmp_path / "f").exists()
 
+    def test_config_nested_beyond_the_recursion_limit_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text("[" * 5000 + "]" * 5000, encoding="utf-8")
+        assert run_cli("fit", cfg) == 1
+        err = assert_one_line_error(capsys)
+        assert err.startswith("config error: ") and "nested too deeply" in err, err
+        assert not (tmp_path / "f").exists()
+
     def test_dirichlet_fit(self, tmp_path, sbt_dir):
         cfg = write_config(tmp_path, sbt_dir / "triples.tsv", tmp_path / "f")
         config = json.loads(cfg.read_text())

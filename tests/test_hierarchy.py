@@ -346,7 +346,7 @@ def test_route_level_is_the_one_level_coarsen_reads(depth):
                 assert route_level(zs, zr, d, depth) == m
                 assert route_level(zr, zs, d, depth) == m
         for other in levels:
-            routes, key_of = state._level_table[d][other]
+            routes, key_of = state._level_cell(d, other)
             for z in levels:
                 # a sender move to z against receiver ``other``, and a receiver move against sender ``other``
                 assert routes[key_of[z - 1]] == route_level(z, other, d, depth) == route_level(other, z, d, depth)

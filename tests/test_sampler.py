@@ -1,9 +1,12 @@
+import bisect
 import copy
 import hashlib
+import itertools
 import json
 import math
 import multiprocessing
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -320,6 +323,77 @@ class TestLevelIndicatorMove:
             se = math.sqrt(want[k] * (1 - want[k]) / draws)
             assert abs(freq[k] - want[k]) < 4 * se + 1e-12
 
+    @pytest.mark.parametrize("memo_entries", [None, 2])
+    @pytest.mark.parametrize("mode", [{}, dict(level_prior_mode="dirichlet", alpha=(0.6, 1.3, 0.9, 2.0))])
+    def test_memoised_prior_is_the_level_prior_of_the_left_out_histogram(self, mode, memo_entries, monkeypatch):
+        # a sweep's pass memoises priors under a code of the left-out histogram: every prior it
+        # builds must be the level prior of that histogram, exactly, and every prior a one-key
+        # move draws from must come from a histogram one indicator short of the current one
+        from hiersbm.kgraph import DegreeTable
+
+        kg = random_kg(6, 2, 0.4, 8)
+        hyper = hyper_with(depth=4, **mode)
+        L = hyper.depth
+        deg = DegreeTable(degree=np.zeros(6, dtype=np.int64), sampling_prob=np.ones(6))
+        if memo_entries:  # a memo emptied every few entries
+            monkeypatch.setattr(sampler, "PRIOR_MEMO", memo_entries * L)
+        built = {}  # id of an entry's running sums -> (entry, the histogram it was built from)
+        fresh = set()  # entries built for the move under way
+        build = SamplerState._level_prior
+
+        def checked_build(state, cur):
+            entry = build(state, cur)
+            hist = state.ghist[1:]
+            hist[cur - 1] -= 1
+            want = stats.level_prior(hist, hyper)
+            assert entry == (want, list(itertools.accumulate(want)), sum(want), [math.log(p) for p in want])
+            built[id(entry[1])] = entry, hist
+            fresh.add(id(entry[1]))
+            return entry
+
+        reads, hits = [], []
+
+        def checked_draw(cums, x):
+            _, hist = built[id(cums)]
+            gap = [now - then for now, then in zip(state.ghist[1:], hist)]
+            assert sorted(gap) == [0] * (L - 1) + [1]
+            reads.append(gap.index(1) + 1)
+            hits.append(id(cums) not in fresh)
+            fresh.clear()
+            return bisect.bisect_right(cums, x)
+
+        monkeypatch.setattr(SamplerState, "_level_prior", checked_build)
+        monkeypatch.setattr(sampler, "bisect_right", checked_draw)
+        flips = np.random.default_rng(9)
+        state = init_state(kg, hyper, np.random.default_rng(8))
+        for _ in range(6):
+            # random flips, then a sweep with every gate open
+            Z = state.Z.copy()
+            for i, j, d in flips.integers(0, [6, 6, 2], size=(20, 3)):
+                Z[i, j, d] = flips.integers(1, L + 1)
+            state = SamplerState(kg, hyper, state.rng, state.P, Z)
+            gibbs_iteration(state, deg)
+        assert sum(hits) > 50  # draws from priors built for earlier moves
+        assert set(reads) == set(range(1, L + 1))  # moves left out indicators at every level
+        assert audit_counts(state).ok
+
+    def test_a_deep_tree_builds_only_the_level_cells_it_reads(self):
+        # an eager table of every (divergence, other level) cell grows as depth³: 427 MB at depth 255
+        from hiersbm.kgraph import DegreeTable
+
+        kg = KnowledgeGraph({"a": 0, "b": 1}, {"r": 0}, {(0, 1, 0), (1, 1, 0)})
+        deg = DegreeTable(degree=np.zeros(2, dtype=np.int64), sampling_prob=np.ones(2))
+        tracemalloc.start()
+        try:
+            state = init_state(kg, hyper_with(depth=255), np.random.default_rng(0))
+            gibbs_iteration(state, deg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+        assert len(state._level_cells) <= 8
+        assert audit_counts(state).ok
+
 
 class TestPathMove:
     def test_single_entity_posterior_equals_prior(self):
@@ -596,7 +670,7 @@ class TestGibbsIteration:
         state = init_state(kg, hyper_with(depth=1), np.random.default_rng(3))
         deg = DegreeTable(degree=np.zeros(4, dtype=np.int64), sampling_prob=np.ones(4))
         moves = []
-        monkeypatch.setattr(sampler, "_level_move", lambda *args: moves.append(args))
+        monkeypatch.setattr(sampler, "_level_pass", lambda *args: moves.append(args))
         twin = copy.deepcopy(state.rng)
         gibbs_iteration(state, deg)
         assert moves == []

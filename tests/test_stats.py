@@ -140,13 +140,13 @@ def test_path_delta_insertion_order_exchangeable():
 
 class TestLevelLikelihood:
     def test_single_predicate_one(self):
-        assert math.exp(level_log_likelihood([1], [2], 5, 1.0, 1.0)) == pytest.approx(3 / 7)
+        assert math.exp(level_log_likelihood([1], [5, 2], False, 1.0, 1.0)) == pytest.approx(3 / 7)
 
     def test_prior_predictive(self):
-        assert math.exp(level_log_likelihood([0], [0], 0, 1.0, 1.0)) == pytest.approx(0.5)
+        assert math.exp(level_log_likelihood([0], [0, 0], False, 1.0, 1.0)) == pytest.approx(0.5)
 
     def test_product_over_predicates(self):
-        got = math.exp(level_log_likelihood([1, 0], [2, 2], 5, 1.0, 1.0))
+        got = math.exp(level_log_likelihood([1, 0], [5, 2, 2], False, 1.0, 1.0))
         assert got == pytest.approx((3 / 7) * (4 / 7))
 
     def test_matches_gamma_ratio_form(self):
@@ -170,10 +170,45 @@ class TestLevelLikelihood:
                 )
                 expected *= math.exp(num - den)
             got = math.exp(
-                sum(level_log_likelihood([gv], [o], o + z, lam, eta) for gv, (o, z) in zip(g, counts))
+                sum(level_log_likelihood([gv], [o + z, o], False, lam, eta) for gv, (o, z) in zip(g, counts))
             )
             assert got == pytest.approx(expected, rel=1e-12)
             assert 0 < got <= 1
+
+    @pytest.mark.parametrize("own", [False, True])
+    def test_own_and_other_keys_are_the_evidence_change(self, own):
+        # the pair joins n pairs with ``ones``; at its own key the row already holds it
+        rng = np.random.default_rng(12)
+        lam, eta = 0.9, 1.1
+        for _ in range(300):
+            R = int(rng.integers(1, 40))
+            g = rng.integers(0, 2, R).tolist()
+            n = int(rng.integers(0, 60))
+            ones = [int(rng.integers(0, n + 1)) for _ in range(R)]
+            row = [n + 1, *(k + v for k, v in zip(ones, g))] if own else [n, *ones]
+            want = log_evidence_terms([[n, *ones]], [[1, *g]], lam, eta)[0]
+            assert level_log_likelihood(g, row, own, lam, eta) == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("own", [False, True])
+    def test_equals_the_log_loop_where_n_plus_eta_is_exact(self, own):
+        # the tables read log((n - k) + eta) where the loop read log((n + eta) - k): equal at eta = 1
+        def log_loop(g, ones, n, lam, eta):
+            log = math.log
+            zeros_eta = n + eta
+            out = 0.0
+            for v, k in zip(g, ones):
+                out += log(k + lam) if v else log(zeros_eta - k)
+            return out - len(g) * log(n + lam + eta)
+
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            R = int(rng.integers(1, 40))
+            g = rng.integers(0, 2, R).tolist()
+            n = int(rng.integers(0, 200))
+            ones = [int(rng.integers(0, n + 1)) for _ in range(R)]
+            lam = float(rng.uniform(0.1, 3.0))
+            row = [n + 1, *(k + v for k, v in zip(ones, g))] if own else [n, *ones]
+            assert level_log_likelihood(g, row, own, lam, 1.0) == log_loop(g, ones, n, lam, 1.0)
 
 
 def stick_hyper(hist, mu, sigma):
