@@ -9,7 +9,11 @@ that.  The sampler's Beta-Bernoulli evidence lives here and nowhere else:
 reads per candidate node and the complete log-likelihood sums in full.  It
 reads integer log-gamma tables, lgamma(k + lam), lgamma(k + eta) and
 lgamma(k + lam + eta), built once per (lam, eta) and grown on demand to the
-largest count seen, and takes the total-count term once per row.
+largest count seen, and takes the total-count term once per row.  Every
+log-gamma in the package is the standard library's ``math.lgamma``, so the
+package imports numpy alone; its values may differ from other log-gamma
+implementations (scipy's ``gammaln``, say) in the last digits, and so may the
+log-likelihoods summed from them.
 
 ``level_log_likelihood`` serves level-indicator moves whose candidate levels
 route the pair to two or more sibling keys, once per key; a move whose levels
@@ -38,7 +42,6 @@ from itertools import accumulate, islice
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "Schedule",
@@ -145,10 +148,15 @@ def check_priors(priors: dict[str, float]) -> None:
     """Raise ``ValueError`` naming the first prior that is not finite and > 0 with a finite log-gamma.
 
     The collapsed formulas read every prior through log-gamma, which would
-    turn a prior whose log-gamma is not finite into inf or nan.
+    turn a prior whose log-gamma is not finite into inf or nan; ``math.lgamma``
+    raises ``OverflowError`` where its value would pass the float range.
     """
     for name, value in priors.items():
-        if not (0 < value < math.inf and math.isfinite(gammaln(value))):
+        try:
+            ok = 0 < value < math.inf and math.isfinite(math.lgamma(value))
+        except OverflowError:
+            ok = False
+        if not ok:
             raise ValueError(f"{name} must be finite and > 0 with a finite log-gamma, got {value!r}")
 
 
@@ -167,13 +175,22 @@ def _log_gamma_tables(lam: float, eta: float, top: int) -> np.ndarray:
 
     One read-only table per (lam, eta), kept for the process, so that no
     chain pays for it more than once; it at least doubles whenever a count
-    outgrows it, so it is built a few times at most.
+    outgrows it, so it is built a few times at most.  Entry k of a row is
+    ``math.lgamma(k + c)``; a grown table copies the entries it had and
+    computes only the new ones, streamed into the array, so no Python list of
+    its size is made.
     """
     table = _LOG_GAMMA.get((lam, eta))
-    if table is None or table.shape[1] <= top:
-        size = max(top + 1, 64, 2 * (0 if table is None else table.shape[1]))
-        k = np.arange(size, dtype=np.float64)
-        table = _LOG_GAMMA[(lam, eta)] = gammaln(np.stack([k + lam, k + eta, k + (lam + eta)]))
+    have = 0 if table is None else table.shape[1]
+    if have <= top:
+        size = max(top + 1, 64, 2 * have)
+        grown = np.empty((3, size))
+        if have:
+            grown[:, :have] = table
+        tail = range(have, size)
+        for row, c in enumerate((float(lam), float(eta), float(lam + eta))):
+            grown[row, have:] = np.fromiter(map(math.lgamma, map(c.__add__, tail)), np.float64, len(tail))
+        table = _LOG_GAMMA[(lam, eta)] = grown
         table.flags.writeable = False
     return table
 

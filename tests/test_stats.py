@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import simpson
 from scipy.special import betaln, gammaln
 
+from hiersbm import stats
 from hiersbm.hierarchy import ROOT_ID, PathSpec
 from hiersbm.stats import (
     Hyperparameters,
@@ -91,6 +92,33 @@ def test_table_evidence_matches_betaln(lam, eta):
     balanced = np.abs(ones / np.maximum(n[:, None], 1) - 0.5).max(axis=1) < 0.3
     got, want = log_evidence_terms(zeros_b, base, lam, eta), cases[0][2].sum(axis=1)
     assert np.max(np.abs(got - want)[balanced] / np.abs(want[balanced])) < 1e-12
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.9, 1.0, 1.1])
+@pytest.mark.parametrize("eta", [0.5, 0.9, 1.0, 1.1])
+def test_log_gamma_tables_match_gammaln(lam, eta, monkeypatch):
+    """The tables' ``math.lgamma`` rows against scipy's gammaln, counts past 10^5.
+
+    Two log-gamma implementations, each within about 2 ulps of the true
+    value, differ by up to 4: the tolerance is 4 machine epsilons relative to
+    max(1, |value|), the scale near the zeros of log-gamma at 1 and 2.
+    """
+    monkeypatch.setattr(stats, "_LOG_GAMMA", {})
+    table = stats._log_gamma_tables(lam, eta, 120_000)
+    assert table.shape[0] == 3 and table.shape[1] > 120_000
+    k = np.arange(table.shape[1], dtype=np.float64)
+    want = gammaln(np.stack([k + lam, k + eta, k + (lam + eta)]))
+    assert np.all(np.abs(table - want) <= 4 * np.finfo(np.float64).eps * np.maximum(1.0, np.abs(want)))
+
+
+def test_log_gamma_table_grown_in_steps_equals_one_built_at_its_size(monkeypatch):
+    monkeypatch.setattr(stats, "_LOG_GAMMA", {})
+    for top in (10, 100, 5_000, 130_000):
+        grown = stats._log_gamma_tables(0.9, 1.1, top)
+        assert grown.shape[1] > top and not grown.flags.writeable
+    monkeypatch.setattr(stats, "_LOG_GAMMA", {})
+    once = stats._log_gamma_tables(0.9, 1.1, grown.shape[1] - 1)
+    assert once.shape == grown.shape and once.tobytes() == grown.tobytes()
 
 
 def test_path_delta_insertion_order_exchangeable():
