@@ -35,18 +35,17 @@ once.  A level move only reads the counts while it scores.  In most moves
 every level routes the pair to one sibling key; the predictive likelihood is
 then the same at every level and cancels, so the move draws from the level
 prior alone, with the indicator left out of the histogram.  The pass
-memoises that prior, with its running sums and its sum, under an integer code
-of the leave-one-out histogram (its counts as the digits of a base-(2E² + 1)
-number), so a move whose histogram recurs draws with one ``bisect``; the memo
-holds at most ``PRIOR_MEMO`` levels and ends with the pass, so a state held
-between sweeps keeps none of it.  Otherwise the move leaves the pair and the
-indicator out in the arithmetic and scores one predictive likelihood per
-distinct key, from the log lists in ``stats``, plus the prior's logs, which
-the first such move to read a memo entry builds and keeps in it.  The levels a
-pair is read at, per divergence level and other indicator, are worked out on
-first read and kept.  A move writes the counts only when the drawn level
-routes the pair to another key: one ``_add_rows`` call moves its ``[1, g]``
-row.
+memoises that prior, with its running sums, its sum and its logs, under an
+integer code of the leave-one-out histogram (its counts as the digits of a
+base-(2E² + 1) number), so a move whose histogram recurs draws with one
+``bisect``; the memo holds at most ``PRIOR_MEMO`` levels and ends with the
+pass, so a state held between sweeps keeps none of it.  Otherwise the move
+leaves the pair and the indicator out in the arithmetic and scores one
+predictive likelihood per distinct key, from the log lists in ``stats``.
+The levels a pair is read at, per divergence level and other indicator, are
+worked out on first read and kept.  A move writes the counts only when the
+drawn level routes the pair to another key: one ``_add_rows`` call moves its
+``[1, g]`` row.
 
 A path move reads the entity's 2E - 1 pairs and their graph rows once, takes
 them out of the counts (one ``route_pairs`` call and one ``_add_rows`` call),
@@ -144,8 +143,8 @@ class PosteriorSample:
 
     ``indicators`` is the E x E x 2 level-indicator tensor that every readout
     routes pairs by; on disk it is a uint8 ``<stem>.indicators.npy`` beside
-    the JSON file.  The tree the paths span, each entity's level mode and the
-    routing of its pairs are derived from the assignment when first read.
+    the JSON file.  The tree the paths span and each entity's level mode are
+    derived from the assignment when first read.
     """
 
     iteration: int
@@ -163,17 +162,6 @@ class PosteriorSample:
     def levels(self) -> list[int]:
         """Each entity's mode over its incident indicators, ties toward the shallower level."""
         return _level_modes(self.indicators)
-
-    @cached_property
-    def routing(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every pair routed at the stored indicators: the sorted sibling pairs (K x 2) and the E x E index into them.
-
-        Both arrays are read-only, so every readout of the sample can share them.
-        """
-        routing = _route_all(self.paths, self.indicators)
-        for a in routing:
-            a.flags.writeable = False
-        return routing
 
 
 @dataclass(frozen=True)
@@ -223,8 +211,7 @@ class SamplerState:
         self.next_id = int(self.P.max()) + 1
         self._level_cells: dict[int, tuple[list[int], list[int]]] = {}  # see _level_cell
 
-        pairs, index = _route_all(self.P, self.Z)
-        ones, totals = _routed_counts(index, len(pairs), kg.triples, self.R)
+        pairs, _, ones, totals = _routed_counts(self.P, self.Z, kg.triples, self.R)
         self.rel: dict[tuple[int, int], list[int]] = dict(
             zip(map(tuple, pairs.tolist()), np.column_stack([totals, ones]).tolist())
         )
@@ -281,17 +268,17 @@ class SamplerState:
             cell = self._level_cells[key] = _by_route(routes.tolist())
         return cell
 
-    def _level_prior(self, cur: int) -> list:
+    def _level_prior(self, cur: int) -> tuple[list[float], list[float], float, list[float]]:
         """``stats.level_prior`` of the histogram with one indicator at level ``cur`` left out.
 
-        Returns ``[prior, running sums, sum, None]``: what a one-key level
-        move reads of it, and a slot for its ``_log_prior``, which only a
-        move that scores likelihoods reads and fills.
+        Returns the prior, its running sums, its ``sum`` and its logs (-inf
+        where it is 0): what a level move reads of it.
         """
         hist = self.ghist[1:]
         hist[cur - 1] -= 1
         prior = stats.level_prior(hist, self.hyper)
-        return [prior, list(accumulate(prior)), sum(prior), None]
+        logs = [math.log(p) if p > 0 else -math.inf for p in prior]
+        return prior, list(accumulate(prior)), sum(prior), logs
 
     def _level_log_weights(
         self, i: int, j: int, Pi: list[int], Pj: list[int], cur: int, cell: tuple, logs: list[float]
@@ -422,27 +409,23 @@ class SamplerState:
         return paths[walk], np.concatenate([leaf_score[leaves], new_score[inner]])[walk]
 
 
-def _route_all(P, Z) -> tuple[np.ndarray, np.ndarray]:
-    """Every pair of the paths ``P`` routed at indicators ``Z``, by one ``route_pairs`` call in O(E^2).
-
-    Returns the K sibling pairs (sorted) and the E x E index into them.
-    """
-    e = np.arange(len(P))
-    return route_pairs(P, Z[:, :, SENDER], Z[:, :, RECEIVER], e[:, None], e[None])
-
-
-def _routed_counts(index: np.ndarray, K: int, triples: np.ndarray, R: int) -> tuple[np.ndarray, np.ndarray]:
-    """Count the graph's ones and the pairs per sibling pair, from ``_route_all``'s E x E ``index`` into K pairs.
+def _routed_counts(P: np.ndarray, Z: np.ndarray, triples: np.ndarray, R: int):
+    """Route every pair of ``P`` at indicators ``Z`` and count the graph's ones per sibling pair.
 
     ``triples`` holds the graph's ones as (subject, object, predicate) rows,
-    subjects and objects indexing the rows of ``index``, each cell at most
-    once; ``R`` is the number of predicates.  One ``bincount`` of
-    ``index[s, o] * R + r`` counts the ones in O(T), so no E x E x R array is
-    read.  Returns the K x R one-counts and the K totals.
+    subjects and objects indexing the rows of ``P``, each cell at most once;
+    ``R`` is the number of predicates.  One all-pairs ``route_pairs`` call
+    routes in O(E^2), and one ``bincount`` of ``index[s, o] * R + r`` counts
+    the ones in O(T), so no E x E x R array is read.  Returns the K pairs
+    (sorted), the E x E index, the K x R one-counts and the K totals.
     """
+    e = np.arange(len(P))
+    pairs, index = route_pairs(P, Z[:, :, SENDER], Z[:, :, RECEIVER], e[:, None], e[None])
+    K = len(pairs)
     s, o, r = triples.T
     ones = np.bincount(index[s, o] * R + r, minlength=K * R).reshape(K, R)
-    return ones, np.bincount(index.ravel(), minlength=K)
+    totals = np.bincount(index.ravel(), minlength=K)
+    return pairs, index, ones, totals
 
 
 def _by_route(routes: list) -> tuple[list, list[int]]:
@@ -461,11 +444,6 @@ def _sum_rows(index: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
     C = rows.shape[-1]
     cells = (index[:, None] * C + np.arange(C)).ravel()
     return np.bincount(cells, rows.ravel(), size * C).astype(np.int64).reshape(size, C)
-
-
-def _log_prior(prior: list[float]) -> list[float]:
-    """The logs of a level prior, -inf where it is 0."""
-    return [math.log(p) if p > 0 else -math.inf for p in prior]
 
 
 def _weights_from_logs(logw) -> list[float]:
@@ -524,11 +502,9 @@ def _level_pass(state: SamplerState, moves: list[int], uniforms: list[float], di
     ``PRIOR_MEMO`` levels, and it ends with the pass.  A move whose levels
     all route the pair to one key draws from that prior alone: the first
     level whose running sum exceeds ``u`` times the prior's ``sum``, as
-    ``_categorical`` picks.  Otherwise it draws from ``_level_log_weights``,
-    which reads the prior's logs: the first such move to read an entry
-    builds them and keeps them in it.  It writes the counts only when the
-    drawn level routes the pair to another key: one ``_add_rows`` call moves
-    its ``[1, g]`` row.
+    ``_categorical`` picks.  Otherwise it draws from ``_level_log_weights``.
+    It writes the counts only when the drawn level routes the pair to
+    another key: one ``_add_rows`` call moves its ``[1, g]`` row.
     """
     E, L = state.E, state.L
     Z = state.Z.ravel().tolist()
@@ -545,15 +521,13 @@ def _level_pass(state: SamplerState, moves: list[int], uniforms: list[float], di
             if len(priors) * L >= PRIOR_MEMO:
                 priors.clear()
             entry = priors[left_out] = state._level_prior(cur)
+        prior, cums, total, logs = entry
         cell = cells.get(div * (L + 1) + other) or state._level_cell(div, other)
         if len(cell[0]) == 1:
-            new = bisect_right(entry[1], u * entry[2]) + 1
+            new = bisect_right(cums, u * total) + 1
             if new > L:
                 new = L
         else:
-            logs = entry[3]
-            if logs is None:
-                logs = entry[3] = _log_prior(entry[0])
             i, j = divmod(m >> 1, E)
             logw, keys, g = state._level_log_weights(i, j, P[i], P[j], cur, cell, logs)
             new = _categorical(u, _weights_from_logs(logw)) + 1
@@ -596,18 +570,17 @@ def level_conditional(state: SamplerState, i: int, j: int, direction: int) -> np
     """Exact conditional distribution of one indicator, over levels 1..L.
 
     The levels are scored as ``_level_pass`` scores them, from
-    ``_level_prior``, its ``_log_prior`` and ``_level_log_weights``, which
-    write no count, path or indicator of the state passed in.
+    ``_level_prior`` and ``_level_log_weights``, which write no count, path
+    or indicator of the state passed in.
     """
     if state.L == 1:
         return np.ones(1)
     cur, other = state.Z.item(i, j, direction), state.Z.item(i, j, 1 - direction)
-    prior = state._level_prior(cur)[0]
+    prior, _, _, logs = state._level_prior(cur)
     cell = state._level_cell(int(divergence_levels(state.P[i], state.P[j])), other)
     if len(cell[0]) == 1:
         return _normalized(prior)
     Pi, Pj = state.P[i].tolist(), state.P[j].tolist()
-    logs = _log_prior(prior)
     return _normalized(_weights_from_logs(state._level_log_weights(i, j, Pi, Pj, cur, cell, logs)[0]))
 
 
@@ -882,10 +855,8 @@ def audit_counts(state: SamplerState) -> AuditReport:
 def _sample_means(sample: PosteriorSample, kg: KnowledgeGraph, lam: float, eta: float):
     """Pairs routed at a sample's stored indicators, their E x E index and the K x R posterior means.
 
-    The pairs and index are the sample's ``routing``, so its readouts route
-    it once.  The graph's entities may be a superset of the sample's, in any
-    order: the ones among the sample's entities are counted at their sample
-    positions.
+    The graph's entities may be a superset of the sample's, in any order: the
+    ones among the sample's entities are counted at their sample positions.
     """
     missing = [lab for lab in sample.entity_labels if lab not in kg.entities]
     if missing:
@@ -901,8 +872,7 @@ def _sample_means(sample: PosteriorSample, kg: KnowledgeGraph, lam: float, eta: 
     s, o = at[kg.triples[:, 0]], at[kg.triples[:, 1]]
     inside = (s >= 0) & (o >= 0)
     cells = np.column_stack([s[inside], o[inside], kg.triples[inside, 2]])
-    pairs, index = sample.routing
-    ones, totals = _routed_counts(index, len(pairs), cells, R)
+    pairs, index, ones, totals = _routed_counts(sample.paths, sample.indicators, cells, R)
     return pairs, index, (ones + lam) / (totals[:, None] + lam + eta)
 
 

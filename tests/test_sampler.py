@@ -17,7 +17,6 @@ from hiersbm import sampler, stats, synth
 from hiersbm.hierarchy import divergence_levels
 from hiersbm.kgraph import KnowledgeGraph, degree_table
 from hiersbm.sampler import (
-    PosteriorSample,
     SamplerState,
     aggregate,
     audit_counts,
@@ -39,7 +38,6 @@ from hiersbm.sampler import (
 )
 from hiersbm.stats import Hyperparameters, Schedule
 from routing_oracle import coarsen
-from test_hierarchy import pool_and_indicators
 from test_kgraph import triple_set
 from test_stats import ncrp_path_prior
 from tree_oracle import tree_of
@@ -330,8 +328,7 @@ class TestLevelIndicatorMove:
     def test_memoised_prior_is_the_level_prior_of_the_left_out_histogram(self, mode, memo_entries, monkeypatch):
         # a sweep's pass memoises priors under a code of the left-out histogram: every prior it
         # builds must be the level prior of that histogram, exactly, and every prior a one-key
-        # move draws from must come from a histogram one indicator short of the current one;
-        # an entry's logs are built only when a multi-key move reads them, as math.log of its prior
+        # move draws from must come from a histogram one indicator short of the current one
         from hiersbm.kgraph import DegreeTable
 
         kg = random_kg(6, 2, 0.4, 8)
@@ -349,7 +346,7 @@ class TestLevelIndicatorMove:
             hist = state.ghist[1:]
             hist[cur - 1] -= 1
             want = stats.level_prior(hist, hyper)
-            assert entry == [want, list(itertools.accumulate(want)), sum(want), None]
+            assert entry == (want, list(itertools.accumulate(want)), sum(want), [math.log(p) for p in want])
             built[id(entry[1])] = entry, hist
             fresh.add(id(entry[1]))
             return entry
@@ -378,10 +375,6 @@ class TestLevelIndicatorMove:
             gibbs_iteration(state, deg)
         assert sum(hits) > 50  # draws from priors built for earlier moves
         assert set(reads) == set(range(1, L + 1))  # moves left out indicators at every level
-        logged = [entry for entry, _ in built.values() if entry[3] is not None]
-        assert 0 < len(logged) < len(built)  # multi-key moves read some entries' logs, one-key moves none
-        for prior, _, _, logs in logged:
-            assert logs == [math.log(p) for p in prior]
         assert audit_counts(state).ok
 
     def test_a_deep_tree_builds_only_the_level_cells_it_reads(self):
@@ -1144,42 +1137,6 @@ class TestReadouts:
         probs = predicted_edge_probabilities(sample, big, lam, eta)
         assert probs.shape == (n, n, 3)
         assert probs.tolist() == [[[want[key_of[i, j, r]] for r in range(3)] for j in range(n)] for i in range(n)]
-
-    def test_readouts_of_one_sample_route_it_once(self, monkeypatch):
-        kg = random_kg(5, 2, 0.4, 3)
-        state = init_state(kg, hyper_with(depth=3), np.random.default_rng(3))
-        gibbs_iteration(state, degree_table(kg))
-        sample = take_sample(state)
-        calls, route_pairs = [], sampler.route_pairs
-
-        def counted(*args):
-            calls.append(1)
-            return route_pairs(*args)
-
-        monkeypatch.setattr(sampler, "route_pairs", counted)
-        first = relations_from_sample(sample, kg, 0.7, 1.3), predicted_edge_probabilities(sample, kg, 0.7, 1.3)
-        assert len(calls) == 1
-        again = relations_from_sample(sample, kg, 0.7, 1.3), predicted_edge_probabilities(sample, kg, 0.7, 1.3)
-        assert len(calls) == 1
-        assert first[0] == again[0] and np.array_equal(first[1], again[1])
-        assert first[0] == recover_community_relations(state, 0.7, 1.3)  # a fresh sample of the state routes anew
-        assert len(calls) == 2
-
-    @settings(max_examples=100, deadline=None)
-    @given(pool_and_indicators())
-    def test_routing_is_the_scalar_rule(self, case):
-        pool, Z = case
-        sample = PosteriorSample(0, 0.0, [f"e{k}" for k in range(len(pool))], [tuple(p) for p in pool], Z)
-        pairs, index = sample.routing
-        assert not pairs.flags.writeable and not index.flags.writeable
-        seen = set()
-        for i, pi in enumerate(pool):
-            for j, pj in enumerate(pool):
-                a, b, _ = coarsen(pi, int(Z[i, j, 0]), pj, int(Z[i, j, 1]), 0)
-                assert tuple(pairs[index[i, j]]) == (a, b)
-                seen.add((a, b))
-        assert pairs.tolist() == sorted(map(list, seen))  # each pair once, in ascending order
-        assert sample.routing is sample.routing
 
     def test_readouts_reject_repeated_labels(self):
         kg = random_kg(3, 1, 0.5, 0)
