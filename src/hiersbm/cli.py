@@ -1,10 +1,11 @@
 """Command-line interface: dataset generation, fitting, evaluation, rendering.
 
 Subcommands: ``gen-sbt``, ``fit``, ``eval``, ``render``, ``relations``.
-Exit codes: 0 on success, 1 on usage, configuration or output-path errors and
-on a failed chain, 2 on data errors (unparseable or empty inputs, universe
-mismatches).  Every command is reproducible byte-for-byte under a fixed seed;
-there is no wall-clock seeding anywhere.
+Exit codes: 0 on success, 1 on usage, configuration or output errors (an
+output path that cannot be written, or a standard output closed by its
+reader) and on a failed chain, 2 on data errors (unparseable or empty inputs,
+universe mismatches).  Every command is reproducible byte-for-byte under a
+fixed seed; there is no wall-clock seeding anywhere.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path as FsPath
 
@@ -373,9 +375,18 @@ def main(argv=None) -> int:
         # argparse exits 0 for --help/--version and 2 for usage problems
         return 0 if exc.code in (0, None) else USAGE_ERROR
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # so a closed reader shows here, not in the interpreter's flush at exit
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except BrokenPipeError:
+        # the reader closed standard output: what is still buffered goes to devnull, so the flush at exit cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: standard output was closed before the command finished writing", file=sys.stderr)
         return USAGE_ERROR
 
 

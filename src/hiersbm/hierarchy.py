@@ -82,9 +82,17 @@ def divergence_levels(P: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The first level at which two paths differ, along the last axis of two broadcastable path arrays.
 
     Levels count from 1, and identical paths give depth + 1.  The paths must
-    be paths of one tree, which agree on a prefix and nowhere below it.
+    be paths of one tree, which agree on a prefix and nowhere below it, so
+    the level is one more than the number of levels at which they agree.
+    That count is taken one level column at a time, so no array of the
+    broadcast shape times the depth is built.  Returns int64 of the
+    broadcast shape of the leading axes.
     """
-    return (np.asarray(P) == np.asarray(q)).sum(axis=-1) + 1
+    P, q = np.asarray(P), np.asarray(q)
+    div = np.ones(np.broadcast_shapes(P.shape[:-1], q.shape[:-1]), dtype=np.int64)
+    for level in range(P.shape[-1]):
+        div += P[..., level] == q[..., level]
+    return div
 
 
 def route_level(zs, zr, div, depth: int):
@@ -109,7 +117,10 @@ def route_pairs(P: np.ndarray, zs, zr, x, y) -> tuple[np.ndarray, np.ndarray]:
     (a, b) community pairs, K x 2 in ascending order, and the index into them.
     """
     P = np.asarray(P, dtype=np.int64)
-    m = route_level(zs, zr, divergence_levels(P[x], P[y]), P.shape[1]) - 1
+    div = np.ones(np.broadcast_shapes(np.shape(x), np.shape(y)), dtype=np.int64)
+    for column in P.T:  # divergence_levels(P[x], P[y]), gathered one level column at a time
+        div += column[x] == column[y]
+    m = route_level(zs, zr, div, P.shape[1]) - 1
     a, b = P[x, m], P[y, m]
     width = int(b.max(initial=0)) + 1
     keys, index = np.unique(a * width + b, return_inverse=True)

@@ -30,7 +30,7 @@ __all__ = [
 
 
 class TripleParseError(ValueError):
-    """A TSV line did not have the expected tab-separated field count."""
+    """A TSV line could not be parsed; the message names the file and the line."""
 
     def __init__(self, path, line_no: int, message: str):
         super().__init__(f"{path}:{line_no}: {message}")

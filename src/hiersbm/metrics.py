@@ -5,6 +5,13 @@ universe and are invariant to label permutation.  The pair-agreement index is
 chance corrected; the mutual-information score is normalized by the
 arithmetic mean of the two entropies and defined as zero when both
 clusterings are trivial.
+
+Both read one contingency table of the two labelings: the count of every
+(label, label) cell and of every label on each side.  Two partitions are
+equal exactly when the table has as many cells as each side has labels, for
+then each label meets exactly one label of the other side; so identity
+needs no other comparison.  ``evaluate_sample`` builds one table per level
+and scores both metrics from it.
 """
 
 from __future__ import annotations
@@ -38,13 +45,6 @@ def _check_universe(c: Clustering, truth: Clustering) -> None:
         raise ValueError("clusterings must cover at least one entity")
 
 
-def _as_partition(c: Clustering) -> frozenset:
-    groups: dict[Hashable, set[str]] = {}
-    for entity, label in c.items():
-        groups.setdefault(label, set()).add(entity)
-    return frozenset(frozenset(g) for g in groups.values())
-
-
 def _contingency(c: Clustering, truth: Clustering):
     joint = Counter((c[e], truth[e]) for e in c)
     left = Counter(c.values())
@@ -52,17 +52,14 @@ def _contingency(c: Clustering, truth: Clustering):
     return joint, left, right
 
 
-def ari(c: Clustering, truth: Clustering) -> float:
-    """Chance-corrected pair-counting agreement between two partitions.
+def _identical(joint: Counter, left: Counter, right: Counter) -> bool:
+    """Whether the table's two partitions are equal: each label meets exactly one label of the other side."""
+    return len(joint) == len(left) == len(right)
 
-    Returns exactly 1.0 for identical partitions; a clustering that is at its
-    chance expectation (e.g. one big cluster against anything) scores 0.0.
-    """
-    _check_universe(c, truth)
-    if _as_partition(c) == _as_partition(truth):
+
+def _ari(joint: Counter, left: Counter, right: Counter, n: int) -> float:
+    if _identical(joint, left, right):
         return 1.0
-    n = len(c)
-    joint, left, right = _contingency(c, truth)
     sum_joint = sum(math.comb(v, 2) for v in joint.values())
     sum_left = sum(math.comb(v, 2) for v in left.values())
     sum_right = sum(math.comb(v, 2) for v in right.values())
@@ -76,8 +73,32 @@ def ari(c: Clustering, truth: Clustering) -> float:
     return (sum_joint - expected) / (max_index - expected)
 
 
+def ari(c: Clustering, truth: Clustering) -> float:
+    """Chance-corrected pair-counting agreement between two partitions.
+
+    Returns exactly 1.0 for identical partitions; a clustering that is at its
+    chance expectation (e.g. one big cluster against anything) scores 0.0.
+    """
+    _check_universe(c, truth)
+    return _ari(*_contingency(c, truth), len(c))
+
+
 def _entropy(sizes: Counter, n: int) -> float:
     return -sum((v / n) * math.log(v / n) for v in sizes.values() if v)
+
+
+def _nmi(joint: Counter, left: Counter, right: Counter, n: int) -> float:
+    h_left = _entropy(left, n)
+    h_right = _entropy(right, n)
+    if h_left == 0.0 and h_right == 0.0:
+        return 0.0
+    if _identical(joint, left, right):
+        return 1.0
+    mi = 0.0
+    for (a, b), v in joint.items():
+        mi += (v / n) * math.log(n * v / (left[a] * right[b]))
+    value = mi / ((h_left + h_right) / 2.0)
+    return min(max(value, 0.0), 1.0)
 
 
 def nmi(c: Clustering, truth: Clustering) -> float:
@@ -87,19 +108,7 @@ def nmi(c: Clustering, truth: Clustering) -> float:
     cluster each) and exactly 1.0 for identical non-trivial partitions.
     """
     _check_universe(c, truth)
-    n = len(c)
-    joint, left, right = _contingency(c, truth)
-    h_left = _entropy(left, n)
-    h_right = _entropy(right, n)
-    if h_left == 0.0 and h_right == 0.0:
-        return 0.0
-    if _as_partition(c) == _as_partition(truth):
-        return 1.0
-    mi = 0.0
-    for (a, b), v in joint.items():
-        mi += (v / n) * math.log(n * v / (left[a] * right[b]))
-    value = mi / ((h_left + h_right) / 2.0)
-    return min(max(value, 0.0), 1.0)
+    return _nmi(*_contingency(c, truth), len(c))
 
 
 def clusters_at_level(sample: PosteriorSample, level: int) -> dict:
@@ -164,11 +173,11 @@ def evaluate_sample(sample: PosteriorSample, truth: GroundTruth) -> EvaluationRe
     for level in range(1, depth + 1):
         predicted = clusters_at_level(sample, level)
         reference = truth.level(level)
-        missing = sorted(set(predicted) - set(reference))
+        missing = sorted(e for e in predicted if e not in reference)
         if missing:
             raise ValueError(f"ground truth is missing entities at level {level}: {missing}")
-        reference = {e: reference[e] for e in predicted}
-        scores.append(LevelScore(level, ari(predicted, reference), nmi(predicted, reference)))
+        table = _contingency(predicted, {e: reference[e] for e in predicted})
+        scores.append(LevelScore(level, _ari(*table, len(predicted)), _nmi(*table, len(predicted))))
     overall_ari = sum(s.ari for s in scores) / len(scores)
     overall_nmi = sum(s.nmi for s in scores) / len(scores)
     return EvaluationResult(scores, overall_ari, overall_nmi)

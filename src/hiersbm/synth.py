@@ -268,7 +268,12 @@ def save_ground_truth(truth: GroundTruth, path) -> None:
 
 
 def load_ground_truth(path) -> GroundTruth:
-    """Parse the label TSV; labels are kept as opaque strings."""
+    """Parse the label TSV; labels are kept as opaque strings.
+
+    A repeated (entity, level) line must repeat its label: an identical
+    repeat is accepted, as a duplicate triple is, and a different label
+    raises ``TripleParseError`` naming the line.
+    """
     per_entity: dict[str, dict[int, str]] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -285,7 +290,11 @@ def load_ground_truth(path) -> GroundTruth:
                 raise TripleParseError(path, line_no, f"level {level_s!r} is not an integer") from None
             if level < 1:
                 raise TripleParseError(path, line_no, f"level must be >= 1, got {level}")
-            per_entity.setdefault(entity, {})[level] = label
+            labels = per_entity.setdefault(entity, {})
+            if labels.setdefault(level, label) != label:
+                raise TripleParseError(
+                    path, line_no, f"entity {entity!r} has labels {labels[level]!r} and {label!r} at level {level}"
+                )
     if not per_entity:
         return GroundTruth(entity_labels=[], assignments=[])
     depth = max(max(levels) for levels in per_entity.values())

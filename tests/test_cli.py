@@ -392,6 +392,24 @@ class TestEval:
         missing = sample["entities"][-1]["label"]
         assert missing in capsys.readouterr().err
 
+    def test_conflicting_truth_label_is_data_error(self, tmp_path, fit_dir, sbt_dir, capsys):
+        truth = sbt_dir / "truth.tsv"
+        lines = truth.read_text(encoding="utf-8").splitlines()
+        entity, level, label = lines[0].split("\t")
+        repeated = tmp_path / "repeated.tsv"
+        repeated.write_text("\n".join(lines + [lines[0]]) + "\n", encoding="utf-8")
+        assert run_cli("eval", fit_dir / "point_estimate_chain0.json", repeated, "--out-dir", tmp_path / "same") == 0
+        same = json.loads((tmp_path / "same" / "metrics.json").read_text())
+        assert run_cli("eval", fit_dir / "point_estimate_chain0.json", truth, "--out-dir", tmp_path / "m") == 0
+        assert same == json.loads((tmp_path / "m" / "metrics.json").read_text())
+        capsys.readouterr()
+        conflicting = tmp_path / "conflicting.tsv"
+        conflicting.write_text("\n".join(lines + [f"{entity}\t{level}\tZZZ"]) + "\n", encoding="utf-8")
+        assert run_cli("eval", fit_dir / "point_estimate_chain0.json", conflicting, "--out-dir", tmp_path / "c") == 2
+        err = assert_one_line_error(capsys)
+        assert f"conflicting.tsv:{len(lines) + 1}:" in err and "ZZZ" in err
+        assert not (tmp_path / "c").exists()
+
     def test_out_dir_below_a_file(self, tmp_path, fit_dir, sbt_dir, capsys):
         afile = tmp_path / "afile"
         afile.write_text("", encoding="utf-8")
@@ -586,7 +604,8 @@ class TestDeterminism:
 PINNED_FIT_SHA256 = "0f582bb115637a18542bf8bdf8eba53ca0e55afcd098475386e393e8422b74c8"
 
 
-def test_fixed_seed_fit_is_pinned(tmp_path):
+def _pinned_fit(tmp_path):
+    """Run the pinned two-chain fit; return its data and output directories."""
     data = tmp_path / "data"
     assert run_cli("gen-sbt", "--depth", 3, "--per-leaf", 4, "--probs", 0.1, 0.4, 0.6,
                    "--predicates", 2, "--seed", 7, "--out-dir", data) == 0
@@ -598,14 +617,44 @@ def test_fixed_seed_fit_is_pinned(tmp_path):
     cfg = tmp_path / "pin.json"
     cfg.write_text(json.dumps(config), encoding="utf-8")
     assert run_cli("fit", cfg) == 0
+    return data, tmp_path / "fit"
+
+
+def test_fixed_seed_fit_is_pinned(tmp_path):
+    _, fit = _pinned_fit(tmp_path)
     digest = hashlib.sha256()
-    for path in sorted((tmp_path / "fit").iterdir()):
+    for path in sorted(fit.iterdir()):
         if path.name.endswith(".indicators.npy"):
             digest.update(path.name.encode() + path.read_bytes())
         elif path.suffix == ".json" and path.name != "run_manifest.json":
             entities = json.loads(path.read_text())["entities"]
             digest.update(path.name.encode() + json.dumps([(e["label"], e["path"]) for e in entities]).encode())
     assert digest.hexdigest() == PINNED_FIT_SHA256
+
+
+# The read-outs of the pinned fit's point estimates, recorded at commit
+# 772f8a1: the SHA-256 of ``hiersbm eval``'s ``metrics.json`` and of
+# ``hiersbm relations``' CSV, per chain.  The relation means are ratios of
+# counts, and ARI is rational in counts; NMI reads ``math.log``, so a math
+# library whose log rounds differently could move its last digit.
+PINNED_READOUT_SHA256 = {
+    "chain0": ("c6f3d25e7812ca1b3219495c5925b6161db9aafd63e457c6dc8d312a72d5f901",
+               "6dcb25cc9f3e2d9146b810f8184c5a13fd6599c49369353d784ce501c47911c9"),
+    "chain1": ("8d6393a2f6c726954237a1bce3b4dcd25d634adee5f6622ba7964b1c7c4a8c75",
+               "aa111652fb2bf612f02f6d0814b9b4fdea357c0d2dbf34ba61ddfe9160cbda2a"),
+}
+
+
+def test_fixed_seed_readouts_are_pinned(tmp_path):
+    data, fit = _pinned_fit(tmp_path)
+    got = {}
+    for chain in PINNED_READOUT_SHA256:
+        sample, out = fit / f"point_estimate_{chain}.json", tmp_path / chain
+        assert run_cli("eval", sample, data / "truth.tsv", "--out-dir", out) == 0
+        assert run_cli("relations", sample, data / "triples.tsv", "--out", out / "relations.csv") == 0
+        got[chain] = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                           for name in ("metrics.json", "relations.csv"))
+    assert got == PINNED_READOUT_SHA256
 
 
 def test_usage_error_exit_code():
@@ -618,12 +667,38 @@ def test_help_exits_zero(capsys):
     assert "gen-sbt" in capsys.readouterr().out
 
 
+def child_env() -> dict:
+    """This process's environment, with this hiersbm first on ``PYTHONPATH``."""
+    src = os.path.dirname(os.path.dirname(hiersbm.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_python(code: str) -> subprocess.CompletedProcess:
     """Run ``code`` in a fresh interpreter that imports this hiersbm; return the finished process."""
-    src = os.path.dirname(os.path.dirname(hiersbm.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None])
+@pytest.mark.parametrize("command", ["render", "eval"])
+def test_closed_standard_output_is_one_line_and_exit_1(tmp_path, sbt_dir, fit_dir, command, unbuffered):
+    # the pipe's read end is closed before the command starts; unbuffered, the command's own print fails,
+    # buffered, the flush of what it printed does
+    args = {"render": ["render", fit_dir / "point_estimate_chain0.json"],
+            "eval": ["eval", fit_dir / "point_estimate_chain0.json", sbt_dir / "truth.tsv", "--out-dir", tmp_path / "ev"]}
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "hiersbm", *map(str, args[command])], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 class TestRunTime:

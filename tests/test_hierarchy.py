@@ -7,6 +7,7 @@ from hiersbm.hierarchy import ROOT_ID, divergence_levels, route_level, route_pai
 from hiersbm.kgraph import KnowledgeGraph
 from hiersbm.sampler import SamplerState
 from hiersbm.stats import Hyperparameters
+from hiersbm.synth import sample_ncrp_paths
 from routing_oracle import coarsen, divergence_level
 from tree_oracle import Hierarchy
 
@@ -324,6 +325,46 @@ def test_divergence_levels_match_divergence_level(case):
     P = np.array(pool)
     for q in pool:
         assert divergence_levels(P, np.array(q)).tolist() == [divergence_level(p, q) for p in pool]
+
+
+@st.composite
+def ncrp_paths(draw):
+    """Paths of 1..12 entities seated on a nested CRP of depth 1..5, as an int64 array."""
+    depth = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=1, max_value=12))
+    gamma = draw(st.sampled_from([0.3, 1.0, 5.0]))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return np.array(sample_ncrp_paths(n, depth, gamma, np.random.default_rng(seed)), dtype=np.int64)
+
+
+def assert_divergence(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(ncrp_paths(), pool_and_indicators().map(lambda case: np.array(case[0], dtype=np.int64))), st.data())
+def test_divergence_levels_in_every_form_the_package_calls(P, data):
+    n, depth = P.shape
+    oracle = np.array([[divergence_level(tuple(p), tuple(q)) for q in P.tolist()] for p in P.tolist()], dtype=np.int64)
+    # all pairs, as the constructor, the read-outs and the level pass route them
+    assert_divergence(divergence_levels(P[:, None], P[None]), oracle)
+    assert_divergence(divergence_levels(P[:, None, :], P[None, :, :]), oracle)
+    # one entity's 2n - 1 pairs, gathered as a path move gathers them
+    i = data.draw(st.integers(min_value=0, max_value=n - 1))
+    others = np.flatnonzero(np.arange(n) != i)
+    x = np.concatenate([np.full(n - 1, i), others, [i]])
+    y = np.concatenate([others, np.full(n - 1, i), [i]])
+    assert_divergence(divergence_levels(P[x], P[y]), oracle[x, y])
+    # two single paths, as a level move reads them
+    j = data.draw(st.integers(min_value=0, max_value=n - 1))
+    assert_divergence(divergence_levels(P[i], P[j]), oracle[i, j])
+    # identical paths give depth + 1
+    assert_divergence(divergence_levels(P, P), np.full(n, depth + 1))
+    assert_divergence(divergence_levels(P[i], P[i]), np.int64(depth + 1))
+    # the leading axes broadcast: every path against one
+    assert_divergence(divergence_levels(P, P[j]), oracle[:, j])
 
 
 @pytest.mark.parametrize("depth", range(1, 6))

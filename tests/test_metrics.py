@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hiersbm import synth
 from hiersbm.metrics import ari, clusters_at_level, evaluate_sample, nmi
 from hiersbm.sampler import PosteriorSample
 from hiersbm.synth import GroundTruth
@@ -44,6 +45,51 @@ def contingency_nmi(c, truth):
         return 0.0
     mi = sum(v / n * math.log(n * v / (left[a] * right[b])) for (a, b), v in joint.items())
     return mi / ((h1 + h2) / 2)
+
+
+def as_partition(c):
+    """The partition a labeling induces: the set of its entity groups, whatever the labels."""
+    groups = {}
+    for entity, label in c.items():
+        groups.setdefault(label, set()).add(entity)
+    return frozenset(frozenset(g) for g in groups.values())
+
+
+def formula_ari(c, truth):
+    """ARI as computed before identity was read from the contingency table, with ``as_partition`` deciding it."""
+    if as_partition(c) == as_partition(truth):
+        return 1.0
+    n = len(c)
+    joint = Counter((c[e], truth[e]) for e in c)
+    left, right = Counter(c.values()), Counter(truth.values())
+    sum_joint = sum(math.comb(v, 2) for v in joint.values())
+    sum_left = sum(math.comb(v, 2) for v in left.values())
+    sum_right = sum(math.comb(v, 2) for v in right.values())
+    total = math.comb(n, 2)
+    if total == 0:
+        return 1.0
+    expected = sum_left * sum_right / total
+    max_index = (sum_left + sum_right) / 2.0
+    if max_index == expected:
+        return 0.0
+    return (sum_joint - expected) / (max_index - expected)
+
+
+def formula_nmi(c, truth):
+    """NMI as computed before identity was read from the contingency table, with ``as_partition`` deciding it."""
+    n = len(c)
+    joint = Counter((c[e], truth[e]) for e in c)
+    left, right = Counter(c.values()), Counter(truth.values())
+    entropy = lambda sizes: -sum((v / n) * math.log(v / n) for v in sizes.values() if v)
+    h_left, h_right = entropy(left), entropy(right)
+    if h_left == 0.0 and h_right == 0.0:
+        return 0.0
+    if as_partition(c) == as_partition(truth):
+        return 1.0
+    mi = 0.0
+    for (a, b), v in joint.items():
+        mi += (v / n) * math.log(n * v / (left[a] * right[b]))
+    return min(max(mi / ((h_left + h_right) / 2.0), 0.0), 1.0)
 
 
 def labeling(groups):
@@ -145,12 +191,54 @@ def test_metrics_invariant_under_relabeling(pair, perm):
 @given(clustering_pairs())
 def test_ari_one_iff_identical(pair):
     c, t = pair
-    groups = lambda m: frozenset(
-        frozenset(e for e, v in m.items() if v == lab) for lab in set(m.values())
-    )
     value = ari(c, t)
     assert value <= 1.0
-    assert (value == 1.0) == (groups(c) == groups(t))
+    assert (value == 1.0) == (as_partition(c) == as_partition(t))
+
+
+@st.composite
+def labeling_pairs(draw):
+    """Two labelings of 1..9 entities: random, a relabelled copy, one cluster or all singletons on either side."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    entities = [f"e{k}" for k in range(n)]
+
+    def side(other=None):
+        kind = draw(st.sampled_from(["random", "copy", "one", "singletons"] if other else ["random", "one", "singletons"]))
+        if kind == "copy":  # the other side's partition under new labels, in another key order
+            labels = list(dict.fromkeys(other.values()))
+            names = draw(st.permutations(range(n)))
+            return {e: ("L", names[labels.index(other[e])]) for e in draw(st.permutations(entities))}
+        if kind == "one":
+            return {e: "all" for e in entities}
+        if kind == "singletons":
+            return {e: k for k, e in enumerate(entities)}
+        return {e: draw(st.integers(min_value=0, max_value=3)) for e in entities}
+
+    c = side()
+    return c, side(c)
+
+
+@settings(max_examples=400, deadline=None)
+@given(labeling_pairs(), st.booleans())
+def test_identity_from_the_table_is_the_partition_rule(pair, swap):
+    c, t = pair[::-1] if swap else pair
+    if as_partition(c) == as_partition(t):
+        assert ari(c, t) == 1.0
+        assert nmi(c, t) == (0.0 if len(set(c.values())) == 1 else 1.0)  # two single clusters carry no information
+    assert ari(c, t) == formula_ari(c, t)  # bit for bit
+    assert nmi(c, t) == formula_nmi(c, t)
+
+
+def test_identity_edge_cases():
+    one = {"a": 0}
+    assert ari(one, {"a": 5}) == 1.0 and nmi(one, {"a": 5}) == 0.0  # n = 1
+    singles = {e: e for e in "abcd"}
+    assert ari(singles, {e: e.upper() for e in "abcd"}) == 1.0
+    assert nmi(singles, {e: e.upper() for e in "abcd"}) == 1.0
+    # as many cells as labels on one side only is not identity
+    split = {"a": 0, "b": 0, "c": 1, "d": 1}
+    coarse = {e: "x" for e in "abcd"}
+    assert ari(split, coarse) == formula_ari(split, coarse) == 0.0
 
 
 def toy_sample():
@@ -229,6 +317,29 @@ class TestEvaluateSample:
         short = GroundTruth(truth.entity_labels[:-1], truth.assignments[:-1])
         with pytest.raises(ValueError, match="Pacific Ocean"):
             evaluate_sample(sample, short)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 10), st.integers(0, 3), st.integers(0, 2**32 - 1), st.data())
+    def test_level_scores_are_ari_and_nmi_of_the_level_clusterings(self, depth, n, extra, seed, data):
+        # the truth may hold more entities than the sample, in another order, and more or fewer levels
+        rng = np.random.default_rng(seed)
+        labels = [f"e{k}" for k in range(n)]
+        sample = PosteriorSample(
+            iteration=1, log_likelihood=-1.0, entity_labels=labels,
+            paths=synth.sample_ncrp_paths(n, depth, 1.0, rng),
+            indicators=np.ones((n, n, 2), dtype=np.int64),
+        )
+        truth_depth = data.draw(st.integers(1, 4))
+        truth_labels = data.draw(st.permutations(labels + [f"x{k}" for k in range(extra)]))
+        truth = GroundTruth(truth_labels, [tuple(int(v) for v in rng.integers(0, 3, truth_depth)) for _ in truth_labels])
+        result = evaluate_sample(sample, truth)
+        assert len(result.levels) == min(depth, truth_depth)
+        for score in result.levels:
+            predicted = clusters_at_level(sample, score.level)
+            reference = truth.level(score.level)
+            reference = {e: reference[e] for e in predicted}
+            assert score.ari == ari(predicted, reference)
+            assert score.nmi == nmi(predicted, reference)
 
     def test_json_and_table_outputs(self):
         result = evaluate_sample(toy_sample(), self._truth_from_sample())

@@ -6,6 +6,7 @@ import pytest
 
 import tree_oracle
 from hiersbm.hierarchy import Hierarchy
+from hiersbm.kgraph import TripleParseError
 from hiersbm.stats import Hyperparameters
 from hiersbm.synth import (
     forward_generate,
@@ -293,3 +294,14 @@ def test_ground_truth_round_trip(tmp_path):
     want = {e: tuple(str(c) for c in a) for e, a in zip(truth.entity_labels, truth.assignments)}
     got = dict(zip(again.entity_labels, again.assignments))
     assert got == want
+
+
+def test_ground_truth_repeat_must_repeat_its_label(tmp_path):
+    path = tmp_path / "truth.tsv"
+    path.write_text("e0\t1\ta\ne0\t2\tb\ne1\t1\ta\ne1\t2\tc\ne0\t2\tb\n", encoding="utf-8")
+    again = load_ground_truth(path)  # an identical repeat is accepted
+    assert again.entity_labels == ["e0", "e1"] and again.assignments == [("a", "b"), ("a", "c")]
+    path.write_text("e0\t1\ta\ne0\t2\tb\ne1\t1\ta\ne1\t2\tc\ne0\t1\tz\n", encoding="utf-8")
+    with pytest.raises(TripleParseError, match=r"truth\.tsv:5: .*'e0'.*'a' and 'z' at level 1") as info:
+        load_ground_truth(path)
+    assert info.value.line_no == 5
